@@ -35,25 +35,25 @@
 //!   rack, 4 inter-rack) that derive the failover timeout and the
 //!   planner's hop pricing. `racks = 1` reproduces the flat fabric
 //!   cycle for cycle.
-//! - [`tenant`] — open-loop multi-tenant serving: per-tenant SLOs and
-//!   arrival rates under diurnal/bursty traces, weighted-fair queuing
-//!   with per-tenant admission caps, and priority preemption, reported
-//!   per tenant (QPS, p50/p99, SLO attainment, preempted work).
-//! - [`serve`] — a closed-loop multi-client serving front-end, since
-//!   PR 3 an event-driven concurrent pipeline: up to
-//!   [`ServeConfig::concurrency`] batches in flight, each charged for
-//!   fabric use against shared per-NIC/switch bandwidth servers
-//!   ([`ServeFabric`]) so concurrent shuffle-heavy queries interfere,
-//!   with admission control, same-template batching under an optional
-//!   [`AdaptiveBatch`] SLO controller, and rack QPS / latency
-//!   percentiles / SLO attainment / performance-per-watt against a
-//!   multi-socket Xeon rack ([`xeon_model::XeonRack`]); a
-//!   degraded-window mode measures the QPS dip while a failure is being
-//!   recovered. The coordinator optionally races deadline-missing shard
-//!   sub-plans against a backup replica ([`Speculation`]), keeping
-//!   results bit-identical while cutting straggler tails.
+//! - [`serve`] and [`tenant`] — the serving front-ends, thin adapters
+//!   over one private discrete-event core (`engine`) parameterized by
+//!   the arrival process and the dispatch policy. [`serve_pipeline`]
+//!   runs closed-loop clients through one FIFO queue with up to
+//!   [`ServeConfig::concurrency`] batches in flight and an optional
+//!   [`AdaptiveBatch`] SLO controller, reporting QPS, latency
+//!   percentiles and performance-per-watt against a Xeon rack
+//!   ([`xeon_model::XeonRack`]). [`serve_tenants`] runs open-loop
+//!   tenants under steady, diurnal or bursty traces through per-tenant
+//!   queues with priority classes, fair queueing, admission slots and
+//!   preemption. Both can charge shuffles against shared bandwidth
+//!   servers ([`ServeFabric`]) and measure the QPS dip inside a
+//!   [`DegradedWindow`]. The coordinator optionally races
+//!   deadline-missing shard sub-plans against a backup replica
+//!   ([`Speculation`]), keeping results bit-identical while cutting
+//!   straggler tails.
 
 pub mod coordinator;
+mod engine;
 pub mod fabric;
 pub mod fault;
 pub mod planned;
@@ -74,8 +74,8 @@ pub use planned::{
 };
 pub use replica::Placement;
 pub use serve::{
-    serve, serve_pipeline, serve_pipeline_hooked, serve_with_faults, AdaptiveBatch, DegradedWindow,
-    ServeConfig, ServeHook, ServeReport, Template,
+    serve_pipeline, serve_pipeline_hooked, AdaptiveBatch, DegradedWindow, ServeConfig, ServeHook,
+    ServeReport, Template,
 };
 pub use shard::{
     shard_table, shard_tpch, shard_tpch_placed, shard_tpch_replicated, ShardPolicy, ShardedTpch,

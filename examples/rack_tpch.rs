@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example rack_tpch`
 
 use dpu_repro::cluster::{
-    serve, serve_pipeline, Cluster, ClusterConfig, FaultPlan, QueryId, ServeConfig, ShardPolicy,
+    serve_pipeline, Cluster, ClusterConfig, FaultPlan, QueryId, ServeConfig, ShardPolicy,
     Speculation, Template,
 };
 use dpu_repro::sql::tpch;
@@ -82,7 +82,8 @@ fn main() {
     assert_eq!(after.cost.failovers, 0, "a recovered cluster routes normally");
 
     let rack = XeonRack::rack_42u();
-    let report = serve(&templates, cluster.watts(), &rack, &ServeConfig::default());
+    let report =
+        serve_pipeline(&templates, cluster.watts(), &rack, &ServeConfig::default(), None, None);
     println!(
         "\nServing: {:.1} QPS at {:.0} W (p50 {:.0} ms, p99 {:.0} ms, mean batch {:.1})",
         report.qps,

@@ -3,7 +3,9 @@
 //! `cargo test` stays fast; nightly runs it with `-- --ignored` and
 //! then byte-diffs the regression numbers in `BENCH_rack_tpch.json`.
 
-use dpu_repro::cluster::{serve, Cluster, ClusterConfig, QueryId, ServeConfig, ShardPolicy};
+use dpu_repro::cluster::{
+    serve_pipeline, Cluster, ClusterConfig, QueryId, ServeConfig, ShardPolicy,
+};
 use dpu_repro::sql::tpch;
 use dpu_repro::xeon::XeonRack;
 
@@ -41,7 +43,14 @@ fn exactness_at(orders_n: usize, seed: u64) {
             xeon_seconds: q.single_cost.xeon.seconds,
         })
         .collect();
-    let report = serve(&templates, c.watts(), &XeonRack::rack_42u(), &ServeConfig::default());
+    let report = serve_pipeline(
+        &templates,
+        c.watts(),
+        &XeonRack::rack_42u(),
+        &ServeConfig::default(),
+        None,
+        None,
+    );
     assert!(report.qps > 0.0, "serving must complete queries at orders_n={orders_n}");
     assert!(report.completed > 0);
 }
