@@ -15,7 +15,7 @@ use crate::column::{pack, Pack, Table};
 use crate::vector::{self, Kernel};
 
 /// Comparison operators supported by the engine's scan predicates; all
-/// lower to the FILT band `[lo, hi]` on signed 32-bit values.
+/// lower to the inclusive band `[lo, hi]` that FILT evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompareOp {
     /// `lo <= x <= hi` (the native FILT form).
@@ -33,15 +33,19 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
-    /// The inclusive band `[lo, hi]` this comparison selects.
+    /// The inclusive band `[lo, hi]` this comparison selects. Open
+    /// sides extend to the `i64` extremes; `Lt(i64::MIN)` and
+    /// `Gt(i64::MAX)` select nothing and map to an empty band
+    /// (`lo > hi`).
     pub fn band(self) -> (i64, i64) {
+        const EMPTY: (i64, i64) = (1, 0);
         match self {
             CompareOp::Between(lo, hi) => (lo, hi),
             CompareOp::Eq(v) => (v, v),
-            CompareOp::Lt(v) => (i32::MIN as i64, v - 1),
-            CompareOp::Le(v) => (i32::MIN as i64, v),
-            CompareOp::Gt(v) => (v + 1, i32::MAX as i64),
-            CompareOp::Ge(v) => (v, i32::MAX as i64),
+            CompareOp::Lt(v) => v.checked_sub(1).map_or(EMPTY, |hi| (i64::MIN, hi)),
+            CompareOp::Le(v) => (i64::MIN, v),
+            CompareOp::Gt(v) => v.checked_add(1).map_or(EMPTY, |lo| (lo, i64::MAX)),
+            CompareOp::Ge(v) => (v, i64::MAX),
         }
     }
 
@@ -255,6 +259,36 @@ mod tests {
         assert!(CompareOp::Ge(5).matches(5));
         assert!(CompareOp::Between(2, 4).matches(3));
         assert!(!CompareOp::Between(2, 4).matches(5));
+    }
+
+    #[test]
+    fn open_bands_reach_the_i64_extremes() {
+        let big = 5_000_000_000i64;
+        assert!(CompareOp::Gt(0).matches(big));
+        assert!(CompareOp::Ge(0).matches(i64::MAX));
+        assert!(CompareOp::Lt(0).matches(-big));
+        assert!(CompareOp::Le(0).matches(i64::MIN));
+        // No value lies below i64::MIN or above i64::MAX.
+        assert_eq!(CompareOp::Lt(i64::MIN).band(), (1, 0));
+        assert_eq!(CompareOp::Gt(i64::MAX).band(), (1, 0));
+        for x in [i64::MIN, -1, 0, 1, i64::MAX] {
+            assert!(!CompareOp::Lt(i64::MIN).matches(x), "Lt(MIN) matched {x}");
+            assert!(!CompareOp::Gt(i64::MAX).matches(x), "Gt(MAX) matched {x}");
+        }
+        // The kernels agree on an 8-byte column, packed or not.
+        let flat = Table::new(vec![Column::i64("x", vec![-big, -1, 0, 1, big, i64::MIN])]);
+        let mut packed = flat.clone();
+        packed.columns[0].packed = Some(crate::column::PackedColumn::encode(&flat.columns[0].data));
+        for (op, want) in
+            [(CompareOp::Gt(0), 2), (CompareOp::Lt(0), 3), (CompareOp::Lt(i64::MIN), 0)]
+        {
+            let spec = FilterSpec::new("x", op);
+            for t in [&flat, &packed] {
+                for kernel in [Kernel::Scalar, Kernel::Swar] {
+                    assert_eq!(spec.apply_with(t, kernel).count(), want, "{op:?} {kernel:?}");
+                }
+            }
+        }
     }
 
     #[test]
