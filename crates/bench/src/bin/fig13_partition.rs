@@ -42,8 +42,8 @@ fn run(scheme: PartitionScheme) -> f64 {
 }
 
 /// Host-side comparison for the software partition rounds: bit-serial
-/// CRC32-C row routing vs the 4-lane table-driven SWAR variant
-/// (`DPU_VECTOR`), 32-way like the DMS runs above. Returns (scalar
+/// CRC32-C row routing vs the 4-lane table-driven SWAR variant,
+/// 32-way like the DMS runs above. Returns (scalar
 /// Mrows/s, vector Mrows/s); panics on any routing mismatch.
 fn host_swar_partition(rows: usize) -> (f64, f64) {
     let keys: Vec<i64> =

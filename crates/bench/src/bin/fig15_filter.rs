@@ -42,7 +42,7 @@ fn aggregate_bandwidth() -> f64 {
 }
 
 /// Host-side comparison: the scalar reference filter vs the SWAR word
-/// builder (`DPU_VECTOR`), same predicate shape as the dpCore kernel.
+/// builder, same predicate shape as the dpCore kernel.
 /// Returns (scalar Mrows/s, vector Mrows/s); panics on any bit mismatch.
 fn host_swar_filter(rows: usize) -> (f64, f64) {
     let values: Vec<i64> = (0..rows as i64)

@@ -10,20 +10,20 @@
 //! 3. 8-node `Cluster::run_all` (shard fan-out + single-node references),
 //! 4. the `rack_tpch` failover matrix (replication × kill patterns), one
 //!    O(1) `Cluster` fork per cell from shared per-k cores,
-//! 5. the SWAR kernels (`DPU_VECTOR`): scalar vs vector filter, CRC32
+//! 5. the SWAR kernels: the scalar oracle vs the vector filter, CRC32
 //!    partition (table and, where SSE4.2 exists, hardware CRC),
 //!    single- and multi-key group-by, threshold-prefiltered top-k,
 //!    word-key sort, and lane-batched expression evaluation, single-
 //!    threaded so the comparison isolates the kernel itself. The
 //!    expression row is informational (the scalar arm is already
 //!    columnar) and carries no speedup floor.
-//! 6. the packed kernels (`DPU_PACK`): every hot kernel timed flat vs
-//!    FOR/bit-packed on the same encoded tables, with resident
-//!    bytes-scanned and compression ratios reported per kernel. The
-//!    filter row evaluates its band in the encoded domain and carries a
-//!    ≥1.2× packed-over-flat floor; the unpack-batch kernels are
-//!    informational. The TPC-H shard columns must average ≥2×
-//!    compression (asserted unconditionally — it is deterministic).
+//! 6. the packed filter: an unencoded table vs its FOR/bit-packed twin
+//!    through the same entry point, with resident bytes scanned and the
+//!    compression ratio reported. The encoded-domain band carries a
+//!    ≥1.2× packed-over-flat floor (the only operator that reads packed
+//!    columns; everything else reads the flat data). The TPC-H shard
+//!    columns must average ≥2× compression (asserted unconditionally —
+//!    it is deterministic).
 //!
 //! The 1-thread runs pin the pool to one worker, which takes the exact
 //! pre-pool sequential code paths, and every parallel result is asserted
@@ -52,9 +52,8 @@ use dpu_isa::hash::hw_crc_available;
 use dpu_pool::{set_global_threads, Pool};
 use dpu_sql::tpch::{self, TpchDb};
 use dpu_sql::{
-    partition_row_ids_with, sort_indices_multi_packed_with, sort_indices_multi_with,
-    top_k_packed_with, top_k_with, AggFunc, Column, CompareOp, Expr, FilterSpec, GroupBySpec,
-    Kernel, Pack, Table,
+    partition_row_ids_with, sort_indices_multi_with, top_k_with, AggFunc, Column, CompareOp, Expr,
+    FilterSpec, GroupBySpec, Kernel, Table,
 };
 
 const SEED: u64 = 2026;
@@ -359,115 +358,48 @@ fn main() {
     assert_eq!(e_scalar, e_vector, "SWAR expression eval diverged from scalar");
     kernel_row("expr", e_scalar_s, e_vector_s, false);
 
-    // ── Packed kernels: FOR/bit-packed vs flat, same SWAR kernel ─────
-    // Each row times the same operator over the same encoded tables with
-    // packing off (flat copy) vs on. The filter evaluates its band in
-    // the encoded domain (SWAR lane compares on packed words, zone-map
-    // short-circuits) and carries the ≥1.2× floor; the remaining kernels
-    // unpack lane batches up front and are informational — they measure
-    // what decode costs against the full flat scan.
-    let mut kt_p = kt.clone();
-    kt_p.encode_packed();
-    let mut mt_p = mt.clone();
-    mt_p.encode_packed();
-    // A discount-like small-domain column (TPC-H `l_discount` shape, 11
+    // ── Packed filter: encoded-domain vs flat scan ──────────────────
+    // The filter is the one operator that reads packed columns: the
+    // same production entry point over an unencoded table and over its
+    // encoded twin, where the band evaluates in the encoded domain (SWAR
+    // lane compares on packed words, zone-map short-circuits). A
+    // discount-like small-domain column (TPC-H `l_discount` shape, 11
     // distinct values): the 4-bit lanes pack 16 values per word, the
     // payoff case the paper's compressed scans live on. Wider lanes pay
     // progressively more for the per-field flag compaction — 8-bit sits
     // near break-even and 16-bit loses — so the floored row uses the
     // narrow-lane shape the encoded-domain filter is built for.
     let discounts: Vec<i64> = (0..kernel_rows).map(|_| (splitmix() % 11) as i64).collect();
-    let mut qt_p = Table::new(vec![Column::i64("q", discounts)]);
+    let qt = Table::new(vec![Column::i64("q", discounts)]);
+    let mut qt_p = qt.clone();
     qt_p.encode_packed();
-
-    println!();
-    header(&["packed kernel", "flat (s)", "packed (s)", "speedup", "compression", "bit-identical"]);
-    let mut packed_json: Vec<Json> = Vec::new();
-    let mut packed_speedups: Vec<(&'static str, f64)> = Vec::new();
-    let mut packed_row =
-        |name: &'static str, flat_s: f64, packed_s: f64, cols: &[&Column], floored: bool| {
-            let speedup = flat_s / packed_s;
-            let flat_bytes: u64 = cols.iter().map(|c| c.bytes()).sum();
-            let resident: u64 = cols.iter().map(|c| c.resident_bytes()).sum();
-            let ratio = flat_bytes as f64 / resident.max(1) as f64;
-            row(&[
-                name.to_string(),
-                format!("{flat_s:.3}"),
-                format!("{packed_s:.3}"),
-                format!("{speedup:.2}x"),
-                format!("{ratio:.2}x"),
-                "yes".into(),
-            ]);
-            packed_json.push(Json::obj([
-                ("kernel", Json::str(name)),
-                ("rows", Json::num(kernel_rows as f64)),
-                ("speedup", Json::num(speedup)),
-                ("flat_bytes_scanned", Json::num(flat_bytes as f64)),
-                ("packed_bytes_scanned", Json::num(resident as f64)),
-                ("compression_ratio", Json::num(ratio)),
-            ]));
-            if floored {
-                packed_speedups.push((name, speedup));
-            }
-        };
+    let qcol = &qt_p.columns[0];
+    assert!(qcol.packed.is_some(), "the 11-value column must pack");
 
     let qspec = FilterSpec::new("q", CompareOp::Between(2, 7));
-    let (qf_s, qf) = best_of(|| qspec.apply_packed_with(&qt_p, Kernel::Swar, Pack::Off));
-    let (qp_s, qp) = best_of(|| qspec.apply_packed_with(&qt_p, Kernel::Swar, Pack::On));
+    let (qf_s, qf) = best_of(|| qspec.apply(&qt));
+    let (qp_s, qp) = best_of(|| qspec.apply(&qt_p));
     assert_eq!(qf, qp, "packed filter diverged from flat");
-    packed_row("filter_pack", qf_s, qp_s, &[&qt_p.columns[0]], true);
-
-    let kcol = &kt_p.columns[kt_p.col_index("k")];
-    let vcol = &kt_p.columns[kt_p.col_index("v")];
-    let (pf_s, pf) = best_of(|| {
-        let kv = kcol.values(Pack::Off);
-        partition_row_ids_with(&kv, 0, 32, Kernel::Swar)
-    });
-    let (pp_s, pp) = best_of(|| {
-        let kv = kcol.values(Pack::On);
-        partition_row_ids_with(&kv, 0, 32, Kernel::Swar)
-    });
-    assert_eq!(pf, pp, "packed partition diverged from flat");
-    packed_row("partition_pack", pf_s, pp_s, &[kcol], false);
-
-    let acols = gspec.columns_read();
-    let arefs: Vec<&str> = acols.iter().map(String::as_str).collect();
-    let (af_s, af) = best_of(|| gspec.execute_seq(&kt_p, None));
-    let (ap_s, ap) = best_of(|| {
-        let d = kt_p.decode_for(&arefs, Pack::On).expect("kt columns are packed");
-        gspec.execute_seq(&d, None)
-    });
-    assert_eq!(af, ap, "packed group-by diverged from flat");
-    packed_row("agg_pack", af_s, ap_s, &[kcol, vcol], false);
-
-    let (tf_s, tf) =
-        best_of(|| top_k_packed_with(&kt_p, "v", 100, 1, None, Kernel::Swar, Pack::Off));
-    let (tp_s, tp) =
-        best_of(|| top_k_packed_with(&kt_p, "v", 100, 1, None, Kernel::Swar, Pack::On));
-    assert_eq!(tf, tp, "packed top-k diverged from flat");
-    packed_row("topk_pack", tf_s, tp_s, &[vcol], false);
-
-    let (sf_s, sf) = best_of(|| {
-        sort_indices_multi_packed_with(&mt_p, &["s1", "s2"], 1, None, Kernel::Swar, Pack::Off)
-    });
-    let (sp_s, sp) = best_of(|| {
-        sort_indices_multi_packed_with(&mt_p, &["s1", "s2"], 1, None, Kernel::Swar, Pack::On)
-    });
-    assert_eq!(sf, sp, "packed sort diverged from flat");
-    packed_row(
-        "sortkey_pack",
-        sf_s,
-        sp_s,
-        &[&mt_p.columns[mt_p.col_index("s1")], &mt_p.columns[mt_p.col_index("s2")]],
-        false,
-    );
-
-    let (ef_s, ef) = best_of(|| revenue.eval_packed_with(&mt_p, Kernel::Swar, Pack::Off));
-    let (ep_s, ep) = best_of(|| revenue.eval_packed_with(&mt_p, Kernel::Swar, Pack::On));
-    assert_eq!(ef, ep, "packed expression eval diverged from flat");
-    let ecols: Vec<&Column> =
-        revenue.columns_read().iter().map(|c| &mt_p.columns[mt_p.col_index(c)]).collect();
-    packed_row("expr_pack", ef_s, ep_s, &ecols, false);
+    let filter_pack_speedup = qf_s / qp_s;
+    let filter_pack_ratio = qcol.bytes() as f64 / qcol.resident_bytes() as f64;
+    println!();
+    header(&["packed kernel", "flat (s)", "packed (s)", "speedup", "compression", "bit-identical"]);
+    row(&[
+        "filter_pack".into(),
+        format!("{qf_s:.3}"),
+        format!("{qp_s:.3}"),
+        format!("{filter_pack_speedup:.2}x"),
+        format!("{filter_pack_ratio:.2}x"),
+        "yes".into(),
+    ]);
+    let packed_json = vec![Json::obj([
+        ("kernel", Json::str("filter_pack")),
+        ("rows", Json::num(kernel_rows as f64)),
+        ("speedup", Json::num(filter_pack_speedup)),
+        ("flat_bytes_scanned", Json::num(qcol.bytes() as f64)),
+        ("packed_bytes_scanned", Json::num(qcol.resident_bytes() as f64)),
+        ("compression_ratio", Json::num(filter_pack_ratio)),
+    ])];
 
     // TPC-H shard-column compression: deterministic, so asserted on
     // every host regardless of CPU count.
@@ -530,13 +462,11 @@ fn main() {
                  ({host_cpus} CPUs): got {speedup:.2}x"
             );
         }
-        for &(name, speedup) in &packed_speedups {
-            assert!(
-                speedup >= 1.2,
-                "packed {name} kernel must speed up >= 1.2x over flat \
-                 ({host_cpus} CPUs): got {speedup:.2}x"
-            );
-        }
+        assert!(
+            filter_pack_speedup >= 1.2,
+            "packed filter must speed up >= 1.2x over flat \
+             ({host_cpus} CPUs): got {filter_pack_speedup:.2}x"
+        );
         println!(
             "\nSpeedup floor (>= 2.0x) holds for datagen, {NODES}-node run_all, \
              and the failover matrix; SWAR kernels hold >= 1.3x over scalar; \

@@ -35,17 +35,17 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A parse-once process-wide environment knob: the shared resolution
-/// cell behind `DPU_THREADS`, `DPU_VECTOR` and `DPU_PACK`.
+/// A parse-once process-wide environment knob: the resolution cell
+/// behind `DPU_THREADS`, the engine's only environment knob.
 ///
-/// All three knobs follow one contract: the environment variable is
-/// read **once** per process, the resolved choice is cached, and
-/// benches or tests that compare settings in one process override the
-/// cache with [`EnvKnob::set`]. The cache is a plain atomic rather
-/// than a `OnceLock` precisely because the override must be able to
-/// *re*-store after resolution (the wallclock bench flips a knob back
-/// and forth); `0` is reserved as the unresolved sentinel, so every
-/// parser maps its choices onto non-zero codes.
+/// The environment variable is read **once** per process, the resolved
+/// choice is cached, and benches or tests that compare settings in one
+/// process override the cache with [`EnvKnob::set`]. The cache is a
+/// plain atomic rather than a `OnceLock` precisely because the override
+/// must be able to *re*-store after resolution (the wallclock bench
+/// flips the thread count back and forth); `0` is reserved as the
+/// unresolved sentinel, so the parser maps its choices onto non-zero
+/// codes.
 #[derive(Debug)]
 pub struct EnvKnob {
     var: &'static str,
@@ -96,8 +96,7 @@ static GLOBAL_THREADS: EnvKnob = EnvKnob::new("DPU_THREADS");
 
 /// Parses a `DPU_THREADS`-style spelling: a positive integer is taken
 /// verbatim, anything else (unset, `0`, garbage) yields `fallback`.
-/// Public so `dpu_sql::knob`'s spelling tests cover all three knobs.
-pub fn parse_threads(v: Option<&str>, fallback: usize) -> usize {
+fn parse_threads(v: Option<&str>, fallback: usize) -> usize {
     v.and_then(|s| s.parse::<usize>().ok()).filter(|&n| n >= 1).unwrap_or(fallback)
 }
 
@@ -260,6 +259,30 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_spellings() {
+        assert_eq!(parse_threads(Some("1"), 7), 1);
+        assert_eq!(parse_threads(Some("16"), 7), 16);
+        // Unset, zero, negative, and garbage all fall back.
+        assert_eq!(parse_threads(None, 7), 7);
+        assert_eq!(parse_threads(Some("0"), 7), 7);
+        assert_eq!(parse_threads(Some("-2"), 7), 7);
+        assert_eq!(parse_threads(Some("many"), 7), 7);
+        assert_eq!(parse_threads(Some(""), 7), 7);
+    }
+
+    #[test]
+    fn knob_cell_caches_and_overrides() {
+        static K: EnvKnob = EnvKnob::new("DPU_TEST_KNOB_NEVER_SET");
+        // First get parses (env unset → parser sees None), later gets
+        // hit the cache without re-parsing.
+        assert_eq!(K.get(|v| if v.is_none() { 5 } else { 9 }), 5);
+        assert_eq!(K.get(|_| unreachable!("cached")), 5);
+        // Overrides keep working after resolution.
+        K.set(3);
+        assert_eq!(K.get(|_| unreachable!("cached")), 3);
+    }
 
     #[test]
     fn par_map_preserves_input_order() {

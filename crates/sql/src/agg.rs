@@ -16,7 +16,7 @@ use dpu_isa::hash::crc32c_u64;
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Column, Table};
+use crate::column::{Column, Table};
 use crate::vector::{self, Kernel};
 use crate::PAR_MIN_ROWS;
 
@@ -93,51 +93,13 @@ impl GroupBySpec {
     /// Panics if a named column is missing or the selection length
     /// mismatches.
     pub fn execute(&self, table: &Table, sel: Option<&BitVec>) -> Table {
-        // Packed execution (`DPU_PACK`): unpack the referenced columns
-        // in lane batches once, then run the flat kernels unchanged —
-        // bit-identical results either way.
-        if let Some(decoded) = {
-            let cols = self.columns_read();
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            table.decode_for(&refs, pack())
-        } {
-            return self.execute_flat(&decoded, sel);
-        }
-        self.execute_flat(table, sel)
-    }
-
-    /// Set of column names the spec reads (group keys plus aggregate
-    /// inputs), sorted and deduplicated — the byte-accounting and
-    /// packed-decode reference set.
-    pub fn columns_read(&self) -> Vec<String> {
-        let mut out = self.group_cols.clone();
-        for (_, f) in &self.aggs {
-            match f {
-                AggFunc::Count => {}
-                AggFunc::Sum(c) | AggFunc::Min(c) | AggFunc::Max(c) => out.push(c.clone()),
-                AggFunc::SumProduct(a, b) => {
-                    out.push(a.clone());
-                    out.push(b.clone());
-                }
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
-    fn execute_flat(&self, table: &Table, sel: Option<&BitVec>) -> Table {
         let pool = Pool::global();
-        if pool.threads() > 1
-            && !in_worker()
-            && !self.group_cols.is_empty()
-            && table.rows() >= PAR_MIN_ROWS
-        {
-            self.execute_on(pool, table, sel)
-        } else if vector::kernel().vectorized() && !self.group_cols.is_empty() {
-            self.execute_vector(table, sel)
-        } else {
+        if self.group_cols.is_empty() {
             self.execute_seq(table, sel)
+        } else if pool.threads() > 1 && !in_worker() && table.rows() >= PAR_MIN_ROWS {
+            self.execute_on(pool, table, sel)
+        } else {
+            self.execute_vector(table, sel)
         }
     }
 
@@ -181,16 +143,15 @@ impl GroupBySpec {
         Table::new(out_cols)
     }
 
-    vector::kernel_entry! {
-        /// The SWAR group-by kernel ([`Self::execute_vector_with`]) on
-        /// the process-wide kernel's CRC engine.
-        ///
-        /// # Panics
-        ///
-        /// Panics if a named column is missing, the selection length
-        /// mismatches, or there are no group columns.
-        pub fn execute_vector(&self, table: &Table, sel: Option<&BitVec>) -> Table
-            => |kernel| self.execute_vector_with(table, sel, kernel)
+    /// The SWAR group-by kernel ([`Self::execute_vector_with`]) on the
+    /// production kernel's CRC engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named column is missing, the selection length
+    /// mismatches, or there are no group columns.
+    pub fn execute_vector(&self, table: &Table, sel: Option<&BitVec>) -> Table {
+        self.execute_vector_with(table, sel, vector::kernel())
     }
 
     /// The SWAR group-by kernel for any number of grouping columns:
@@ -342,21 +303,19 @@ impl GroupBySpec {
             .collect()
     }
 
-    vector::kernel_entry! {
-        /// The pool-parallel group-by kernel: selected rows partition by
-        /// CRC32 of the *first* key column (a group's rows all share it,
-        /// so partitions hold disjoint groups), each partition
-        /// aggregates independently, and the merged pairs sort by full
-        /// key — exactly the key-sorted table [`Self::execute_seq`]
-        /// produces. Leaf aggregation runs the process-wide kernel
-        /// (`DPU_VECTOR`).
-        ///
-        /// # Panics
-        ///
-        /// Panics if a named column is missing, the selection length
-        /// mismatches, or there are no group columns.
-        pub fn execute_on(&self, pool: Pool, table: &Table, sel: Option<&BitVec>) -> Table
-            => |kernel| self.execute_on_with(pool, table, sel, kernel)
+    /// The pool-parallel group-by kernel: selected rows partition by
+    /// CRC32 of the *first* key column (a group's rows all share it, so
+    /// partitions hold disjoint groups), each partition aggregates
+    /// independently, and the merged pairs sort by full key — exactly
+    /// the key-sorted table [`Self::execute_seq`] produces. Leaf
+    /// aggregation runs the production kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named column is missing, the selection length
+    /// mismatches, or there are no group columns.
+    pub fn execute_on(&self, pool: Pool, table: &Table, sel: Option<&BitVec>) -> Table {
+        self.execute_on_with(pool, table, sel, vector::kernel())
     }
 
     /// [`Self::execute_on`] with an explicit kernel for the hash and

@@ -5,24 +5,20 @@
 //! Values are held as `i64` in the engine and materialized into physical
 //! DRAM at a declared width for the DMS to stream.
 //!
-//! Since PR 9, every column can additionally carry a [`PackedColumn`]:
-//! per-chunk frame-of-reference encoding at power-of-two bit widths
+//! Every column can additionally carry a [`PackedColumn`]: per-chunk
+//! frame-of-reference encoding at power-of-two bit widths
 //! (1/2/4/8/16/32/64 bits per value packed into `u64` words), built
-//! once at load time. The paper's DPU is a memory-bandwidth machine —
-//! scans are priced by bytes streamed — so shrinking the resident
-//! representation is the single biggest scan lever; the SWAR filter
-//! kernel evaluates predicates directly on the packed words
-//! ([`crate::vector::filter_band_packed`]) while the other operators
-//! unpack referenced columns in lane batches. The `DPU_PACK` knob
-//! ([`pack`]/[`set_pack`]) selects the execution path with the same
-//! contract as `DPU_VECTOR`: resolved once, overridable in process,
-//! and **pure performance** — results are bit-identical either way
-//! (`tests/pack_properties.rs` pins this differentially).
-
-use std::borrow::Cow;
+//! once at load time beside the flat `data`. The paper's DPU is a
+//! memory-bandwidth machine — scans are priced by bytes streamed — so
+//! the resident representation is what the cost model charges
+//! ([`Column::resident_bytes`]). On the host, only the filter reads the
+//! packed words: it evaluates predicates in the encoded domain
+//! ([`crate::vector::filter_band_packed`]) whenever the scanned column
+//! carries `packed`. Every other operator reads `data` directly.
+//! Results are bit-identical either way (`tests/pack_properties.rs`
+//! pins this differentially).
 
 use dpu_mem::PhysMem;
-use dpu_pool::EnvKnob;
 
 /// Rows per frame-of-reference chunk. A multiple of 64 so chunk
 /// boundaries align with selection-word boundaries, and small enough
@@ -34,45 +30,19 @@ pub const PACK_CHUNK_ROWS: usize = 1024;
 /// width, alignment-padded).
 pub const PACK_HEADER_BYTES: u64 = 24;
 
-/// Whether the engine executes on packed columns (`DPU_PACK`).
+/// The column execution form. Packed execution is unconditional, so
+/// this enum has one variant; it survives only so the benchmark's
+/// run-context line keeps printing [`pack`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Pack {
-    /// Flat `Vec<i64>` execution (the exact pre-packing paths).
-    Off,
-    /// Packed execution: encoded-domain filters, lane-batched unpack
-    /// elsewhere. Bit-identical to [`Pack::Off`], faster.
+    /// Encoded-domain filters on packed columns, `data` everywhere else.
     On,
 }
 
-impl Pack {
-    /// True when packed execution is selected.
-    pub fn on(self) -> bool {
-        self == Pack::On
-    }
-}
-
-/// The resolved pack choice (1 = off, 2 = on; 0 = unresolved).
-static PACK: EnvKnob = EnvKnob::new("DPU_PACK");
-
-/// The process-wide pack choice: the last [`set_pack`] value, else
-/// `DPU_PACK` (`off`, `0`, `false` or `flat` → [`Pack::Off`], anything
-/// else → [`Pack::On`]), else [`Pack::On`]. Resolved once, like
-/// `DPU_VECTOR` and `DPU_THREADS`.
+/// The column execution form: always [`Pack::On`]. Kept only for the
+/// benchmark's run-context line.
 pub fn pack() -> Pack {
-    if PACK.get(crate::knob::pack_code) == 1 {
-        Pack::Off
-    } else {
-        Pack::On
-    }
-}
-
-/// Overrides the pack choice for subsequent [`pack`] calls (benches and
-/// tests that compare the arms in one process).
-pub fn set_pack(p: Pack) {
-    PACK.set(match p {
-        Pack::Off => 1,
-        Pack::On => 2,
-    })
+    Pack::On
 }
 
 /// One chunk's frame-of-reference header.
@@ -194,9 +164,9 @@ impl PackedColumn {
         ch.frame.wrapping_add(delta as i64)
     }
 
-    /// Decodes the whole column — the lane-batched unpack the
-    /// non-filter operators stream through: one word load yields
-    /// `64 / bits` values by shift-and-mask before the next load.
+    /// Decodes the whole column in lane batches (one word load yields
+    /// `64 / bits` values by shift-and-mask). No operator calls it: it
+    /// is the format's round-trip oracle.
     pub fn unpack(&self) -> Vec<i64> {
         let mut out = Vec::with_capacity(self.len);
         for (ci, ch) in self.chunks.iter().enumerate() {
@@ -249,8 +219,8 @@ pub struct Column {
     /// Values (sign-extended to i64 in the engine).
     pub data: Vec<i64>,
     /// The packed representation, when [`Column::encode_packed`] found
-    /// it pays. Always decodes to exactly `data`; the `DPU_PACK` knob
-    /// picks which copy the kernels read.
+    /// it pays. Always decodes to exactly `data`; only the filter reads
+    /// it.
     pub packed: Option<PackedColumn>,
 }
 
@@ -283,8 +253,8 @@ impl Column {
 
     /// Resident bytes the engine actually streams on a scan: the
     /// packed size when the column is packed, the flat size otherwise.
-    /// Knob-independent — packing happens unconditionally at load, so
-    /// simulated costs never depend on `DPU_PACK`.
+    /// Packing happens unconditionally at load, so simulated costs
+    /// depend only on the data.
     pub fn resident_bytes(&self) -> u64 {
         self.packed.as_ref().map_or_else(|| self.bytes(), PackedColumn::packed_bytes)
     }
@@ -298,16 +268,6 @@ impl Column {
         let p = PackedColumn::encode(&self.data);
         if p.packed_bytes() < self.bytes() {
             self.packed = Some(p);
-        }
-    }
-
-    /// The values under a pack choice: the packed representation
-    /// decoded in lane batches when `pack` is on and the column is
-    /// packed, the flat slice otherwise.
-    pub fn values(&self, pack: Pack) -> Cow<'_, [i64]> {
-        match (&self.packed, pack) {
-            (Some(p), Pack::On) => Cow::Owned(p.unpack()),
-            _ => Cow::Borrowed(&self.data[..]),
         }
     }
 }
@@ -381,41 +341,6 @@ impl Table {
         for c in &mut self.columns {
             c.encode_packed();
         }
-    }
-
-    /// A reduced table holding just the (deduplicated) referenced
-    /// columns with any packed ones decoded — the bridge that lets
-    /// operators without a native packed arm reuse their flat SWAR
-    /// paths. Returns `None` when there is nothing to do (pack off, no
-    /// referenced column packed, or an empty reference set): callers
-    /// then run on `self` directly with zero copies. Safe because all
-    /// operators resolve columns by name at entry.
-    pub fn decode_for(&self, cols: &[&str], pack: Pack) -> Option<Table> {
-        if !pack.on() {
-            return None;
-        }
-        let mut names: Vec<&str> = Vec::new();
-        for &c in cols {
-            if !names.contains(&c) {
-                names.push(c);
-            }
-        }
-        let referenced: Vec<&Column> =
-            names.iter().map(|&n| &self.columns[self.col_index(n)]).collect();
-        if !referenced.iter().any(|c| c.packed.is_some()) {
-            return None;
-        }
-        Some(Table::new(
-            referenced
-                .iter()
-                .map(|c| Column {
-                    name: c.name.clone(),
-                    width: c.width,
-                    data: c.values(pack).into_owned(),
-                    packed: None,
-                })
-                .collect(),
-        ))
     }
 
     /// Concatenates same-schema tables row-wise (shard/partition merge).
@@ -634,31 +559,5 @@ mod tests {
         wide.encode_packed();
         assert!(wide.packed.is_none(), "packing must not pay here");
         assert_eq!(wide.resident_bytes(), wide.bytes());
-    }
-
-    #[test]
-    fn values_and_decode_for_respect_the_knob() {
-        let mut t = Table::new(vec![
-            Column::i32("k", (0..2000).map(|i| i % 8).collect()),
-            Column::i64("v", (0..2000).map(|i| (i * 97) % 1_000_003).collect()),
-        ]);
-        let flat = t.clone();
-        t.encode_packed();
-        assert!(t.columns[0].packed.is_some());
-        // Semantic equality ignores the packed cache.
-        assert_eq!(t, flat);
-        for c in &t.columns {
-            assert_eq!(c.values(Pack::On).as_ref(), &c.data[..]);
-            assert!(matches!(c.values(Pack::Off), Cow::Borrowed(_)));
-        }
-        // decode_for: None when off, when nothing referenced is packed
-        // (after decode), and when the reference set is empty.
-        assert!(t.decode_for(&["k", "v"], Pack::Off).is_none());
-        assert!(t.decode_for(&[], Pack::On).is_none());
-        let reduced = t.decode_for(&["v", "k", "v"], Pack::On).expect("packed cols referenced");
-        assert_eq!(reduced.columns.len(), 2);
-        assert_eq!(reduced.columns[0].name, "v");
-        assert_eq!(reduced.column("k").unwrap().data, t.columns[0].data);
-        assert!(reduced.decode_for(&["v", "k"], Pack::On).is_none());
     }
 }

@@ -9,7 +9,7 @@
 
 use dpu_isa::OpCounts;
 
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector::{self, Kernel};
 
 /// A scalar expression over a table's columns.
@@ -45,17 +45,16 @@ impl Expr {
         Expr::Lit(v)
     }
 
-    vector::kernel_entry! {
-        /// Evaluates over every row, columnar style, on the process-wide
-        /// kernel (`DPU_VECTOR`): the reference per-row zip loop or the
-        /// SWAR lane arithmetic — bit-identical (both wrap, and both
-        /// trip the same division-by-zero assert at the same first row).
-        ///
-        /// # Panics
-        ///
-        /// Panics on missing columns or division by zero.
-        pub fn eval(&self, table: &Table) -> Vec<i64> =>
-            |kernel| self.eval_packed_with(table, kernel, pack())
+    /// Evaluates over every row, columnar style, on the production
+    /// kernel's SWAR lane arithmetic — bit-identical to the reference
+    /// per-row zip loop (both wrap, and both trip the same
+    /// division-by-zero assert at the same first row).
+    ///
+    /// # Panics
+    ///
+    /// Panics on missing columns or division by zero.
+    pub fn eval(&self, table: &Table) -> Vec<i64> {
+        self.eval_with(table, vector::kernel())
     }
 
     /// [`eval`](Expr::eval) with an explicit kernel choice, for
@@ -69,23 +68,6 @@ impl Expr {
             self.eval_vector(table)
         } else {
             self.eval_scalar(table)
-        }
-    }
-
-    /// [`eval_with`](Expr::eval_with) with an explicit pack choice:
-    /// packed referenced columns are unpacked in lane batches once up
-    /// front, then the chosen evaluator runs unchanged — bit-identical
-    /// results (including panic rows) either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing columns or division by zero.
-    pub fn eval_packed_with(&self, table: &Table, kernel: Kernel, pack: Pack) -> Vec<i64> {
-        let cols = self.columns_read();
-        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        match table.decode_for(&refs, pack) {
-            Some(decoded) => self.eval_with(&decoded, kernel),
-            None => self.eval_with(table, kernel),
         }
     }
 

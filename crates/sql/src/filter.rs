@@ -11,7 +11,7 @@ use dpu_isa::asm::assemble;
 use dpu_isa::interp::{Cpu, Trap};
 
 use crate::bitvec::BitVec;
-use crate::column::{pack, Pack, Table};
+use crate::column::Table;
 use crate::vector::{self, Kernel};
 
 /// Comparison operators supported by the engine's scan predicates; all
@@ -71,53 +71,28 @@ impl FilterSpec {
         FilterSpec { column: column.to_string(), op }
     }
 
-    vector::kernel_entry! {
-        /// Applies the filter to a table, producing a selection vector
-        /// (reference semantics; the timed path runs on the DPU models).
-        /// Runs the process-wide kernel ([`vector::kernel`],
-        /// `DPU_VECTOR`) and pack choice ([`pack`], `DPU_PACK`): the
-        /// scalar per-row loop, the SWAR 64-rows-per-word kernel, or —
-        /// when the column is packed — the encoded-domain packed kernel.
-        /// Bit-identical every way.
-        pub fn apply(&self, table: &Table) -> BitVec =>
-            |kernel| self.apply_packed_with(table, kernel, pack())
+    /// Applies the filter to a table, producing a selection vector
+    /// (reference semantics; the timed path runs on the DPU models), on
+    /// the production kernel ([`vector::kernel`]).
+    pub fn apply(&self, table: &Table) -> BitVec {
+        self.apply_with(table, vector::kernel())
     }
 
-    /// Applies the filter with an explicit kernel choice on the flat
-    /// representation (differential tests and benches compare the arms
-    /// in one process).
+    /// Applies the filter with an explicit kernel. The vectorized arms
+    /// run [`vector::filter_band_packed`] on the packed words when the
+    /// scanned column carries `packed`, and the SWAR word builder over
+    /// `data` otherwise; [`Kernel::Scalar`] is the per-row oracle over
+    /// `data`. Bit-identical every way.
     pub fn apply_with(&self, table: &Table, kernel: Kernel) -> BitVec {
-        self.apply_packed_with(table, kernel, Pack::Off)
-    }
-
-    /// Applies the filter with explicit kernel *and* pack choices. With
-    /// packing on and the scanned column packed, the vectorized arms run
-    /// [`vector::filter_band_packed`] directly on the packed words and
-    /// the scalar arm evaluates per row through [`PackedColumn::get`]
-    /// (the packed reference path); flat columns and [`Pack::Off`] take
-    /// the exact pre-packing paths.
-    ///
-    /// [`PackedColumn::get`]: crate::column::PackedColumn::get
-    pub fn apply_packed_with(&self, table: &Table, kernel: Kernel, pack: Pack) -> BitVec {
         let col =
             table.column(&self.column).unwrap_or_else(|| panic!("no column {:?}", self.column));
-        match (&col.packed, pack.on()) {
-            (Some(p), true) => {
-                if kernel.vectorized() {
-                    let (lo, hi) = self.op.band();
-                    vector::filter_band_packed(p, lo, hi)
-                } else {
-                    BitVec::from_fn(p.len(), |i| self.op.matches(p.get(i)))
-                }
-            }
-            _ => {
-                if kernel.vectorized() {
-                    let (lo, hi) = self.op.band();
-                    vector::filter_band(&col.data, lo, hi)
-                } else {
-                    BitVec::from_fn(col.data.len(), |i| self.op.matches(col.data[i]))
-                }
-            }
+        if !kernel.vectorized() {
+            return BitVec::from_fn(col.data.len(), |i| self.op.matches(col.data[i]));
+        }
+        let (lo, hi) = self.op.band();
+        match &col.packed {
+            Some(p) => vector::filter_band_packed(p, lo, hi),
+            None => vector::filter_band(&col.data, lo, hi),
         }
     }
 }
@@ -301,20 +276,20 @@ mod tests {
 
     #[test]
     fn packed_apply_is_bit_identical_to_flat() {
-        let mut t = Table::new(vec![Column::i32("x", (0..5000).map(|i| i % 300).collect())]);
+        let flat = Table::new(vec![Column::i32("x", (0..5000).map(|i| i % 300).collect())]);
+        let mut t = flat.clone();
         t.encode_packed();
         assert!(t.columns[0].packed.is_some());
         for op in
             [CompareOp::Between(10, 190), CompareOp::Eq(42), CompareOp::Lt(3), CompareOp::Ge(299)]
         {
             let spec = FilterSpec::new("x", op);
-            let flat = spec.apply_with(&t, Kernel::Scalar);
-            for kernel in [Kernel::Scalar, Kernel::Swar] {
-                for pack in [Pack::Off, Pack::On] {
-                    let got = spec.apply_packed_with(&t, kernel, pack);
-                    assert_eq!(got.words(), flat.words(), "{op:?} {kernel:?} {pack:?}");
-                }
+            let want = spec.apply_with(&flat, Kernel::Scalar);
+            for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
+                let got = spec.apply_with(&t, kernel);
+                assert_eq!(got.words(), want.words(), "{op:?} {kernel:?}");
             }
+            assert_eq!(spec.apply(&t).words(), want.words(), "{op:?} production");
         }
     }
 

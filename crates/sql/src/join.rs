@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use dpu_isa::hash::crc32c_u64;
 use dpu_pool::{chunk_bounds, in_worker, Pool};
 
-use crate::column::{pack, Column, Table};
+use crate::column::{Column, Table};
 use crate::vector::{self, Kernel};
 use crate::PAR_MIN_ROWS;
 
@@ -41,21 +41,6 @@ impl HashJoin {
     ///
     /// Panics if named columns are missing or `fanout` is zero.
     pub fn execute(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
-        // Packed execution (`DPU_PACK`): unpack each side's referenced
-        // columns (key + projections) in lane batches once, then run the
-        // flat kernels unchanged — bit-identical results either way.
-        let p = pack();
-        let brefs: Vec<&str> = std::iter::once(self.build_key.as_str())
-            .chain(self.build_cols.iter().map(String::as_str))
-            .collect();
-        let prefs: Vec<&str> = std::iter::once(self.probe_key.as_str())
-            .chain(self.probe_cols.iter().map(String::as_str))
-            .collect();
-        let (bd, pd) = (build.decode_for(&brefs, p), probe.decode_for(&prefs, p));
-        self.execute_flat(bd.as_ref().unwrap_or(build), pd.as_ref().unwrap_or(probe), fanout)
-    }
-
-    fn execute_flat(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
         let pool = Pool::global();
         if pool.threads() > 1
             && !in_worker()
@@ -68,17 +53,16 @@ impl HashJoin {
         }
     }
 
-    vector::kernel_entry! {
-        /// The sequential join kernel (the exact pre-parallelism code
-        /// path), partitioning with the process-wide kernel —
-        /// bit-identical at any setting, since every CRC arm computes
-        /// the same CRC32-C.
-        ///
-        /// # Panics
-        ///
-        /// Panics if named columns are missing or `fanout` is zero.
-        pub fn execute_seq(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64)
-            => |kernel| self.execute_seq_with(build, probe, fanout, kernel)
+    /// The sequential join kernel (the exact pre-parallelism code
+    /// path), partitioning with the production kernel — bit-identical
+    /// to every other arm, since every CRC engine computes the same
+    /// CRC32-C.
+    ///
+    /// # Panics
+    ///
+    /// Panics if named columns are missing or `fanout` is zero.
+    pub fn execute_seq(&self, build: &Table, probe: &Table, fanout: u64) -> (Table, u64) {
+        self.execute_seq_with(build, probe, fanout, vector::kernel())
     }
 
     /// [`Self::execute_seq`] with an explicit partitioning kernel, for
@@ -200,17 +184,15 @@ impl HashJoin {
     }
 }
 
-vector::kernel_entry! {
-    /// `fanout`-way CRC32 row-id partitioning of a whole column with the
-    /// process-wide kernel (scalar bit-serial CRC, the 4-lane SWAR
-    /// table stream, or the SSE4.2 hardware stream) — bit-identical in
-    /// every case.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fanout` is zero.
-    pub fn partition_row_ids(keys: &[i64], fanout: u64) -> Vec<Vec<usize>>
-        => |kernel| partition_row_ids_with(keys, 0, fanout, kernel)
+/// `fanout`-way CRC32 row-id partitioning of a whole column on the
+/// production kernel (the 4-lane SWAR stream, table-driven or
+/// hardware CRC) — bit-identical to the scalar bit-serial loop.
+///
+/// # Panics
+///
+/// Panics if `fanout` is zero.
+pub fn partition_row_ids(keys: &[i64], fanout: u64) -> Vec<Vec<usize>> {
+    partition_row_ids_with(keys, 0, fanout, vector::kernel())
 }
 
 /// [`partition_row_ids`] with an explicit base row id (for chunked

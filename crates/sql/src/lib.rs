@@ -13,12 +13,13 @@
 //! naive reference implementations) while reporting the byte volumes and
 //! operation counts that the DPU simulator and the Xeon model price.
 //! The host inner loops (filter evaluation, CRC32 partitioning, group-by
-//! probes) run hand-rolled SWAR kernels by default — see [`vector`] and
-//! the `DPU_VECTOR` knob — bit-identical to the scalar reference paths.
+//! probes) have one production path, the hand-rolled SWAR kernels in
+//! [`vector`] on the host's fastest CRC engine; the scalar reference
+//! loops survive only as the differential suites' oracle.
 //! Columns additionally carry a frame-of-reference bit-packed resident
-//! form ([`column::PackedColumn`], the `DPU_PACK` knob): filters execute
-//! in the encoded domain, everything else unpacks in lane batches, and
-//! results stay bit-identical to flat execution.
+//! form ([`column::PackedColumn`]): the filter runs in the encoded
+//! domain when its column is packed, every other operator reads the
+//! flat `data`, and results stay bit-identical either way.
 //!
 //! [`tpch`] provides a scaled TPC-H generator and eight queries used by
 //! the Figure 16 reproduction.
@@ -35,7 +36,6 @@ pub mod expr;
 pub mod filter;
 pub mod hll;
 pub mod join;
-pub mod knob;
 pub mod logical;
 pub mod plan;
 pub mod sort;
@@ -45,7 +45,7 @@ pub mod vector;
 
 pub use agg::{partitioned_group_by, AggFunc, GroupByPlan, GroupBySpec};
 pub use bitvec::BitVec;
-pub use column::{pack, set_pack, Column, Pack, PackChunk, PackedColumn, Table};
+pub use column::{pack, Column, Pack, PackChunk, PackedColumn, Table};
 pub use expr::Expr;
 pub use filter::{measure_filter_kernel, CompareOp, FilterSpec};
 pub use hll::{HyperLogLog, RankMethod};
@@ -55,8 +55,7 @@ pub use logical::{
 };
 pub use plan::{CostAcc, PlatformCost, QueryCost};
 pub use sort::{
-    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_packed_with,
-    sort_indices_multi_with, sort_indices_packed_with, sort_indices_with,
+    sample_bounds, sort_indices, sort_indices_multi, sort_indices_multi_with, sort_indices_with,
 };
-pub use topk::{top_k, top_k_packed_with, top_k_with};
-pub use vector::{kernel as vector_kernel, set_kernel as set_vector_kernel, Kernel};
+pub use topk::{top_k, top_k_with};
+pub use vector::{kernel as vector_kernel, Kernel};

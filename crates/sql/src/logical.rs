@@ -437,7 +437,8 @@ impl LogicalPlan {
         let base = rel.source.table().of(db);
         // Scans stream *resident* bytes: packed columns move their
         // FOR/bit-packed words through the memory system, not the flat
-        // width. Knob-independent (packing is unconditional at load).
+        // width. Packing is unconditional at load, so this depends only
+        // on the data.
         let touched: u64 = rel
             .touched
             .iter()

@@ -83,9 +83,9 @@ impl TpchDb {
     /// Packs every column of every table where packing pays
     /// ([`crate::column::Column::encode_packed`]). The generate paths
     /// call this once at load — unconditionally, so resident sizes (and
-    /// every simulated cost derived from them) never depend on the
-    /// `DPU_PACK` execution knob. Idempotent and deterministic:
-    /// encoding depends only on the values, never on thread count.
+    /// every simulated cost derived from them) depend only on the data.
+    /// Idempotent and deterministic: encoding depends only on the
+    /// values, never on thread count.
     pub fn encode_packed(&mut self) {
         for t in [
             &mut self.lineitem,

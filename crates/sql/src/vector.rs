@@ -39,12 +39,10 @@
 //! Every kernel is **bit-identical** to its scalar twin — same words,
 //! same row order, same accumulator values — at every table size,
 //! chunking, and `DPU_THREADS`; `tests/vector_properties.rs` pins this
-//! differentially. The `DPU_VECTOR` env knob selects the kernel
-//! process-wide: `off`/`0`/`false`/`scalar` → scalar reference loops,
-//! `hwcrc`/`hw` → SWAR with the SSE4.2 `crc32q` hash (degrading to the
-//! table CRC where the instruction is absent), anything else → the
-//! table-driven SWAR arm (the default). [`set_kernel`] overrides it
-//! in-process for benches that compare the arms.
+//! differentially. There is one production path: the public entry
+//! points run [`kernel`], the SWAR kernels on the fastest CRC engine the
+//! host has. [`Kernel::Scalar`] survives only as the test oracle,
+//! reached by passing it explicitly to the `*_with` entry points.
 
 use dpu_isa::hash::{
     crc32c_u64, crc32c_u64_hw, crc32c_u64_table, crc32c_u64_x4, crc32c_u64_x4_hw, crc32c_wide,
@@ -53,18 +51,18 @@ use dpu_isa::hash::{
 
 use crate::bitvec::BitVec;
 use crate::column::PackedColumn;
-use crate::knob::{self, EnvKnob};
 
 /// Which implementation the SQL kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// The reference scalar loops (the exact pre-vectorization paths).
+    /// The reference scalar loops: the differential suites' oracle,
+    /// never chosen by the production entry points.
     Scalar,
     /// The multi-lane SWAR kernels with the table-driven CRC
     /// (bit-identical to scalar, faster).
     Swar,
     /// The SWAR kernels hashing with the SSE4.2 `crc32q` instruction
-    /// (bit-identical to both other arms; selectable only where the
+    /// (bit-identical to both other arms; used only where the
     /// instruction exists).
     HwCrc,
 }
@@ -77,61 +75,16 @@ impl Kernel {
     }
 }
 
-/// The resolved kernel choice (1 = scalar, 2 = SWAR, 3 = hardware CRC;
-/// 0 = not yet resolved from `DPU_VECTOR`).
-static KERNEL: EnvKnob = EnvKnob::new("DPU_VECTOR");
-
-/// The process-wide kernel: the last [`set_kernel`] value, else
-/// `DPU_VECTOR` (`off`, `0`, `false` or `scalar` → [`Kernel::Scalar`];
-/// `hwcrc` or `hw` → [`Kernel::HwCrc`] where SSE4.2 exists, else
-/// [`Kernel::Swar`]), else [`Kernel::Swar`]. Resolved once, like
-/// `DPU_THREADS` and `DPU_PACK` ([`crate::knob`] owns the spellings).
+/// The production kernel: [`Kernel::HwCrc`] where the host has the
+/// `crc32q` instruction, else [`Kernel::Swar`]. Every CRC engine hashes
+/// identically, so this is a host probe, not a choice.
 pub fn kernel() -> Kernel {
-    match KERNEL.get(knob::kernel_code) {
-        1 => Kernel::Scalar,
-        3 if hw_crc_available() => Kernel::HwCrc,
-        _ => Kernel::Swar,
+    if hw_crc_available() {
+        Kernel::HwCrc
+    } else {
+        Kernel::Swar
     }
 }
-
-/// Overrides the kernel choice for subsequent [`kernel`] calls (benches
-/// and tests that compare the arms in one process). [`Kernel::HwCrc`]
-/// degrades to [`Kernel::Swar`] on hosts without the instruction, so a
-/// resolved `HwCrc` always means the hardware path really runs.
-pub fn set_kernel(k: Kernel) {
-    KERNEL.set(match k {
-        Kernel::Scalar => 1,
-        Kernel::Swar => 2,
-        Kernel::HwCrc if hw_crc_available() => 3,
-        Kernel::HwCrc => 2,
-    });
-}
-
-/// Declares the knob-resolving twin of a `*_with` kernel entry point:
-/// the public wrapper resolves [`kernel`] once and forwards. One macro
-/// call per operator keeps the `apply`/`apply_with` pair boilerplate
-/// from multiplying across kernels; the `|kernel| expr` body spells out
-/// the forward so argument reordering and extra defaults (`None`
-/// selections, base offsets) stay visible at the declaration site.
-macro_rules! kernel_entry {
-    ($(#[$meta:meta])* $vis:vis fn $name:ident(&$self_:ident $(, $arg:ident: $ty:ty)* $(,)?)
-        -> $ret:ty => |$k:ident| $body:expr) => {
-        $(#[$meta])*
-        $vis fn $name(&$self_ $(, $arg: $ty)*) -> $ret {
-            let $k = $crate::vector::kernel();
-            $body
-        }
-    };
-    ($(#[$meta:meta])* $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?)
-        -> $ret:ty => |$k:ident| $body:expr) => {
-        $(#[$meta])*
-        $vis fn $name($($arg: $ty),*) -> $ret {
-            let $k = $crate::vector::kernel();
-            $body
-        }
-    };
-}
-pub(crate) use kernel_entry;
 
 /// CRC32-C of one 64-bit key on `kernel`'s engine: bit-serial reference,
 /// table-driven SWAR, or `crc32q`. All three produce the same value —
@@ -539,22 +492,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_default_is_swar_and_override_sticks() {
-        // The knob may already be resolved by a sibling test; exercise
-        // the setter round trip, then restore the resolved default.
-        let before = kernel();
-        set_kernel(Kernel::Scalar);
-        assert_eq!(kernel(), Kernel::Scalar);
-        set_kernel(Kernel::Swar);
-        assert_eq!(kernel(), Kernel::Swar);
-        set_kernel(Kernel::HwCrc);
-        // HwCrc resolves to itself on SSE4.2 hosts and degrades to Swar
-        // elsewhere — never to Scalar, and always vectorized.
-        let resolved = kernel();
-        assert_eq!(resolved, if hw_crc_available() { Kernel::HwCrc } else { Kernel::Swar });
-        assert!(resolved.vectorized());
+    fn production_kernel_is_the_host_probed_swar_arm() {
+        assert_eq!(kernel() == Kernel::HwCrc, hw_crc_available());
+        assert!(kernel().vectorized());
         assert!(!Kernel::Scalar.vectorized());
-        set_kernel(before);
     }
 
     #[test]

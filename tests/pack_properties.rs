@@ -1,27 +1,25 @@
-//! Differential property suite for FOR/bit-packed columns (`DPU_PACK`).
+//! Differential property suite for FOR/bit-packed columns.
 //!
-//! The compressed-execution contract mirrors `DPU_VECTOR`'s: packing is
-//! *pure performance*. For every bit width (1/2/4/8/16/32/64), every
-//! chunk-boundary row count, signed-extreme values, all-constant
-//! chunks, and every kernel, the packed paths — encoded-domain filter
-//! bands and lane-batch unpacking for partition / group-by / join /
-//! top-k / sort / expressions — must be **bit-identical** to flat
-//! execution: same selection words, same row order, same values.
+//! Packing is *pure performance*: the filter evaluates its band in the
+//! encoded domain whenever the scanned column carries `packed`, and
+//! every other operator reads the flat `data`. For every bit width
+//! (1/2/4/8/16/32/64), every chunk-boundary row count, signed-extreme
+//! values, and all-constant chunks, the encoded-domain filter must be
+//! **bit-identical** to the scalar oracle on the unencoded column —
+//! same selection words — and every public entry point on an encoded
+//! table must equal its `*_with(.., Kernel::Scalar)` oracle.
 //!
-//! Tests pass explicit [`Kernel`] and [`Pack`] arguments instead of
-//! flipping the process-wide knob resolutions, so the suite is safe
-//! under the harness's concurrent test execution. The one exception is
-//! [`entry_apis_honor_the_resolved_knobs`], which deliberately goes
-//! through the knob-resolving entry points so the CI matrix
-//! (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`) exercises every
-//! resolution against the same flat scalar reference.
+//! The oracle arm is selected by explicit [`Kernel`] arguments, never
+//! by process-wide state, so the suite is safe under the harness's
+//! concurrent test execution.
 
 use proptest::prelude::*;
 
+use dpu_repro::pool::Pool;
 use dpu_repro::sql::{
-    partition_row_ids_with, sort_indices, sort_indices_multi, sort_indices_multi_packed_with,
-    sort_indices_packed_with, top_k, top_k_packed_with, AggFunc, Column, CompareOp, Expr,
-    FilterSpec, GroupBySpec, HashJoin, Kernel, Pack, PackedColumn, Table,
+    partition_row_ids, partition_row_ids_with, sort_indices, sort_indices_multi,
+    sort_indices_multi_with, sort_indices_with, top_k, top_k_with, AggFunc, Column, CompareOp,
+    Expr, FilterSpec, GroupBySpec, HashJoin, Kernel, PackedColumn, Table,
 };
 
 /// Widens a tagged raw value into a key distribution that exercises
@@ -60,15 +58,17 @@ fn framed_values(max_len: usize) -> impl Strategy<Value = Vec<i64>> {
 /// always-true and always-false bands, with band edges drawn near the
 /// column values so partially-overlapping bands are common.
 fn compare_op() -> impl Strategy<Value = CompareOp> {
-    (any::<i64>(), any::<i64>(), 0u8..8).prop_map(|(a, b, arm)| {
+    (any::<i64>(), any::<u8>(), any::<i64>(), 0u8..8).prop_map(|(raw, tag, b, arm)| {
+        // The shaped draw puts `i64::MIN`/`i64::MAX` under the open-sided
+        // arms, so the band's empty-at-the-extremes cases get drawn.
+        let a = shape_value(raw, tag % 8);
         let (lo, hi) = (a.min(b), a.max(b));
         match arm {
             0 => CompareOp::Between(lo, hi),
             1 => CompareOp::Eq(a),
-            // Guard the band() ±1 arithmetic against i64 overflow.
-            2 => CompareOp::Lt(a.max(i64::MIN + 1)),
+            2 => CompareOp::Lt(a),
             3 => CompareOp::Le(a),
-            4 => CompareOp::Gt(a.min(i64::MAX - 1)),
+            4 => CompareOp::Gt(a),
             5 => CompareOp::Ge(a),
             6 => CompareOp::Between(i64::MIN, i64::MAX), // all match
             _ => CompareOp::Between(1, 0),               // empty band: none match
@@ -88,6 +88,24 @@ fn force_packed(name: &str, data: &[i64]) -> Column {
     }
 }
 
+/// Asserts the production filter and every vectorized arm on the
+/// force-packed column are word-identical to the scalar oracle on the
+/// unencoded column.
+fn assert_filter_matches_oracle(data: &[i64], op: CompareOp) {
+    let flat = Table::new(vec![Column::i64("x", data.to_vec())]);
+    let packed = Table::new(vec![force_packed("x", data)]);
+    let spec = FilterSpec::new("x", op);
+    let want = spec.apply_with(&flat, Kernel::Scalar);
+    for kernel in [Kernel::Swar, Kernel::HwCrc] {
+        let got = spec.apply_with(&packed, kernel);
+        // Word-for-word equality, so tail-lane masking bugs cannot hide
+        // behind popcounts.
+        assert_eq!(got, want, "rows={} op={op:?} kernel={kernel:?}", data.len());
+        assert_eq!(got.words(), want.words(), "rows={} op={op:?}", data.len());
+    }
+    assert_eq!(spec.apply(&packed).words(), want.words(), "rows={} op={op:?}", data.len());
+}
+
 proptest! {
     #[test]
     fn packed_roundtrip_is_exact(data in framed_values(3000)) {
@@ -105,16 +123,7 @@ proptest! {
         data in framed_values(3000),
         op in compare_op(),
     ) {
-        let t = Table::new(vec![force_packed("x", &data)]);
-        let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
-            let packed = spec.apply_packed_with(&t, kernel, Pack::On);
-            // Word-for-word equality, so tail-lane masking bugs cannot
-            // hide behind popcounts.
-            prop_assert_eq!(&flat, &packed, "kernel {:?}", kernel);
-            prop_assert_eq!(flat.words(), packed.words(), "kernel {:?}", kernel);
-        }
+        assert_filter_matches_oracle(&data, op);
     }
 
     #[test]
@@ -122,133 +131,7 @@ proptest! {
         data in values(500),
         op in compare_op(),
     ) {
-        let t = Table::new(vec![force_packed("x", &data)]);
-        let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        let packed = spec.apply_packed_with(&t, Kernel::Swar, Pack::On);
-        prop_assert_eq!(flat.words(), packed.words());
-    }
-
-    #[test]
-    fn decode_for_and_values_reproduce_flat_data(data in framed_values(2500)) {
-        let t = Table::new(vec![force_packed("x", &data)]);
-        let col = &t.columns[0];
-        prop_assert_eq!(col.values(Pack::On).into_owned(), data.clone());
-        prop_assert_eq!(col.values(Pack::Off).into_owned(), data.clone());
-        let d = t.decode_for(&["x"], Pack::On).expect("forced-packed column");
-        prop_assert_eq!(&d.columns[0].data, &data);
-        prop_assert!(d.columns[0].packed.is_none(), "decoded tables are flat");
-        prop_assert!(t.decode_for(&["x"], Pack::Off).is_none(), "pack off decodes nothing");
-    }
-
-    #[test]
-    fn packed_partition_matches_flat(
-        keys in framed_values(1500),
-        fanout in 1u64..40,
-    ) {
-        let c = force_packed("k", &keys);
-        let unpacked = c.values(Pack::On);
-        for kernel in [Kernel::Scalar, Kernel::Swar, Kernel::HwCrc] {
-            prop_assert_eq!(
-                partition_row_ids_with(&keys, 0, fanout, kernel),
-                partition_row_ids_with(&unpacked, 0, fanout, kernel),
-                "kernel {:?}", kernel
-            );
-        }
-    }
-
-    #[test]
-    fn packed_group_by_matches_flat(keys in framed_values(1500)) {
-        let vals: Vec<i64> =
-            keys.iter().enumerate().map(|(i, &k)| (k % 1000).wrapping_mul(3) + i as i64).collect();
-        let t = Table::new(vec![force_packed("g", &keys), force_packed("v", &vals)]);
-        let spec = GroupBySpec {
-            group_cols: vec!["g".into()],
-            aggs: vec![
-                ("cnt".into(), AggFunc::Count),
-                ("s".into(), AggFunc::Sum("v".into())),
-                ("lo".into(), AggFunc::Min("v".into())),
-                ("hi".into(), AggFunc::Max("v".into())),
-            ],
-        };
-        let flat = spec.execute_seq(&t, None);
-        let cols = spec.columns_read();
-        let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-        let decoded = t.decode_for(&refs, Pack::On).expect("forced-packed columns");
-        prop_assert_eq!(&flat, &spec.execute_seq(&decoded, None));
-        prop_assert_eq!(&flat, &spec.execute_vector(&decoded, None));
-    }
-
-    #[test]
-    fn packed_top_k_and_sort_match_flat(
-        data in framed_values(1200),
-        k in 1usize..40,
-        workers in 1usize..5,
-    ) {
-        let tie_break: Vec<i64> = data.iter().map(|&v| v.rem_euclid(7)).collect();
-        let t = Table::new(vec![force_packed("a", &data), force_packed("b", &tie_break)]);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            prop_assert_eq!(
-                top_k_packed_with(&t, "a", k, workers, None, kernel, Pack::Off),
-                top_k_packed_with(&t, "a", k, workers, None, kernel, Pack::On),
-                "top-k kernel {:?}", kernel
-            );
-            prop_assert_eq!(
-                sort_indices_packed_with(&t, "a", workers, None, kernel, Pack::Off),
-                sort_indices_packed_with(&t, "a", workers, None, kernel, Pack::On),
-                "sort kernel {:?}", kernel
-            );
-            prop_assert_eq!(
-                sort_indices_multi_packed_with(&t, &["a", "b"], workers, None, kernel, Pack::Off),
-                sort_indices_multi_packed_with(&t, &["a", "b"], workers, None, kernel, Pack::On),
-                "multi-sort kernel {:?}", kernel
-            );
-        }
-    }
-
-    #[test]
-    fn packed_expression_eval_matches_flat(data in framed_values(1000)) {
-        // Divisors shaped strictly positive: division by zero panics (by
-        // contract) and `i64::MIN / -1` would trap in both arms.
-        let divisor: Vec<i64> = data.iter().map(|&v| v.rem_euclid(1000) + 1).collect();
-        let t = Table::new(vec![force_packed("x", &data), force_packed("d", &divisor)]);
-        let e = Expr::Clamp(
-            Box::new(
-                (Expr::col("x") * Expr::lit(3) + Expr::col("x") - Expr::lit(7)) / Expr::col("d"),
-            ),
-            -(1 << 40),
-            1 << 40,
-        );
-        let flat = e.eval_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            prop_assert_eq!(&flat, &e.eval_packed_with(&t, kernel, Pack::On), "kernel {:?}", kernel);
-        }
-    }
-
-    #[test]
-    fn packed_join_matches_flat(
-        bkeys in framed_values(400),
-        pkeys in framed_values(400),
-        fanout in 1u64..10,
-    ) {
-        let bv: Vec<i64> = bkeys.iter().map(|&k| k ^ 0x5A5A).collect();
-        let pv: Vec<i64> = pkeys.iter().map(|&k| k.wrapping_add(17)).collect();
-        let build = Table::new(vec![force_packed("k", &bkeys), force_packed("bv", &bv)]);
-        let probe = Table::new(vec![force_packed("k", &pkeys), force_packed("pv", &pv)]);
-        let join = HashJoin {
-            build_key: "k".into(),
-            probe_key: "k".into(),
-            build_cols: vec!["bv".into()],
-            probe_cols: vec!["pv".into(), "k".into()],
-        };
-        let (flat, flat_max) = join.execute_seq_with(&build, &probe, fanout, Kernel::Scalar);
-        // The packed entry decodes each side's referenced columns, then
-        // runs the flat kernels — reproduce that wiring explicitly.
-        let bd = build.decode_for(&["k", "bv"], Pack::On).expect("forced-packed build");
-        let pd = probe.decode_for(&["k", "pv"], Pack::On).expect("forced-packed probe");
-        let (packed, packed_max) = join.execute_seq_with(&bd, &pd, fanout, Kernel::Scalar);
-        prop_assert_eq!(&flat, &packed);
-        prop_assert_eq!(flat_max, packed_max);
+        assert_filter_matches_oracle(&data, op);
     }
 }
 
@@ -259,7 +142,6 @@ proptest! {
 fn packed_filter_is_exact_at_chunk_boundaries() {
     for len in [0usize, 1, 63, 64, 65, 127, 128, 1023, 1024, 1025, 2047, 2048, 2049] {
         let data: Vec<i64> = (0..len as i64).map(|i| (i * 37) % 50 - 25).collect();
-        let t = Table::new(vec![force_packed("x", &data)]);
         for op in [
             CompareOp::Between(-10, 10),
             CompareOp::Between(i64::MIN, i64::MAX), // all match
@@ -268,12 +150,7 @@ fn packed_filter_is_exact_at_chunk_boundaries() {
             CompareOp::Ge(0),
             CompareOp::Lt(-25), // below every chunk frame: zone-map zeros
         ] {
-            let spec = FilterSpec::new("x", op);
-            let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-            for kernel in [Kernel::Scalar, Kernel::Swar] {
-                let packed = spec.apply_packed_with(&t, kernel, Pack::On);
-                assert_eq!(flat.words(), packed.words(), "len={len} op={op:?} kernel={kernel:?}");
-            }
+            assert_filter_matches_oracle(&data, op);
         }
     }
 }
@@ -292,7 +169,6 @@ fn packed_extremes_and_constant_chunks_are_exact() {
     let p = PackedColumn::encode(&data);
     assert_eq!(p.unpack(), data);
 
-    let t = Table::new(vec![force_packed("x", &data)]);
     for op in [
         CompareOp::Eq(i64::MIN),
         CompareOp::Eq(i64::MAX),
@@ -301,13 +177,12 @@ fn packed_extremes_and_constant_chunks_are_exact() {
         CompareOp::Between(0, 0),
         CompareOp::Ge(0),
         CompareOp::Le(-1),
+        CompareOp::Gt(0),
+        CompareOp::Lt(0),
+        CompareOp::Lt(i64::MIN),
+        CompareOp::Gt(i64::MAX),
     ] {
-        let spec = FilterSpec::new("x", op);
-        let flat = spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off);
-        for kernel in [Kernel::Scalar, Kernel::Swar] {
-            let packed = spec.apply_packed_with(&t, kernel, Pack::On);
-            assert_eq!(flat.words(), packed.words(), "op={op:?} kernel={kernel:?}");
-        }
+        assert_filter_matches_oracle(&data, op);
     }
 }
 
@@ -347,44 +222,48 @@ fn encode_packed_keeps_only_paying_columns() {
     assert!(empty.packed.is_none());
 }
 
-/// Goes through the knob-resolving entry points (`apply`, `execute`,
-/// `eval`, `top_k`, `sort_indices`, `sort_indices_multi`) on an encoded
-/// table, so the CI matrix (`DPU_PACK` × `DPU_VECTOR` × `DPU_THREADS`)
-/// checks every resolution against the explicit flat scalar reference.
+/// Runs every public entry point on a force-packed table and compares
+/// each to its `*_with(.., Kernel::Scalar)` oracle on an unencoded
+/// clone: the production path (host-probed kernel, encoded-domain
+/// filter, flat `data` everywhere else) must be bit-identical to the
+/// scalar reference at any `DPU_THREADS`.
 #[test]
 fn entry_apis_honor_the_resolved_knobs() {
     let n = 5000usize;
     let keys: Vec<i64> = (0..n as i64).map(|i| (i * 131) % 3000 - 1500).collect();
     let vals: Vec<i64> = (0..n as i64).map(|i| (i * 17) % 10_000).collect();
-    let mut t = Table::new(vec![Column::i64("x", keys), Column::i64("v", vals)]);
-    t.encode_packed();
-    assert!(t.columns.iter().all(|c| c.packed.is_some()), "both columns should pay");
+    let flat = Table::new(vec![Column::i64("x", keys.clone()), Column::i64("v", vals.clone())]);
+    let t = Table::new(vec![force_packed("x", &keys), force_packed("v", &vals)]);
 
     let spec = FilterSpec::new("x", CompareOp::Between(-500, 900));
-    assert_eq!(
-        spec.apply(&t).words(),
-        spec.apply_packed_with(&t, Kernel::Scalar, Pack::Off).words()
-    );
+    assert_eq!(spec.apply(&t).words(), spec.apply_with(&flat, Kernel::Scalar).words());
 
     let g = GroupBySpec {
         group_cols: vec!["x".into()],
         aggs: vec![("cnt".into(), AggFunc::Count), ("s".into(), AggFunc::Sum("v".into()))],
     };
-    assert_eq!(g.execute(&t, None), g.execute_seq(&t, None));
+    assert_eq!(g.execute(&t, None), g.execute_on_with(Pool::new(1), &flat, None, Kernel::Scalar));
 
-    let e = Expr::col("v") * (Expr::lit(100) - Expr::col("x"));
-    assert_eq!(e.eval(&t), e.eval_packed_with(&t, Kernel::Scalar, Pack::Off));
+    let join = HashJoin {
+        build_key: "x".into(),
+        probe_key: "x".into(),
+        build_cols: vec!["v".into()],
+        probe_cols: vec!["v".into(), "x".into()],
+    };
+    assert_eq!(join.execute(&t, &t, 8), join.execute_seq_with(&flat, &flat, 8, Kernel::Scalar));
 
-    assert_eq!(
-        top_k(&t, "v", 50, 4),
-        top_k_packed_with(&t, "v", 50, 4, None, Kernel::Scalar, Pack::Off)
-    );
-    assert_eq!(
-        sort_indices(&t, "x", 4),
-        sort_indices_packed_with(&t, "x", 4, None, Kernel::Scalar, Pack::Off)
-    );
+    assert_eq!(top_k(&t, "v", 50, 4), top_k_with(&flat, "v", 50, 4, None, Kernel::Scalar));
+    assert_eq!(sort_indices(&t, "x", 4), sort_indices_with(&flat, "x", 4, None, Kernel::Scalar));
     assert_eq!(
         sort_indices_multi(&t, &["x", "v"], 4),
-        sort_indices_multi_packed_with(&t, &["x", "v"], 4, None, Kernel::Scalar, Pack::Off)
+        sort_indices_multi_with(&flat, &["x", "v"], 4, None, Kernel::Scalar)
+    );
+
+    let e = Expr::col("v") * (Expr::lit(100) - Expr::col("x"));
+    assert_eq!(e.eval(&t), e.eval_with(&flat, Kernel::Scalar));
+
+    assert_eq!(
+        partition_row_ids(&t.columns[0].data, 32),
+        partition_row_ids_with(&flat.columns[0].data, 0, 32, Kernel::Scalar)
     );
 }

@@ -1,17 +1,17 @@
 //! Differential property suite for the SWAR kernels (`dpu_sql::vector`).
 //!
-//! The engine's contract since PR 7: `DPU_VECTOR` is *pure performance*.
-//! For every table size (including row counts ≢ 0 mod 64 and empty
-//! tables), every predicate (all-match, none-match, extreme bands),
-//! every fanout, every group-key distribution (including `i64::MIN/MAX`
-//! keys), and every `DPU_THREADS`, the vectorized filter / partition /
-//! join / agg kernels must be **bit-identical** to the scalar reference
-//! paths — same words, same row order, same accumulator values.
+//! The SWAR kernels are *pure performance*: they are the one production
+//! path, and the scalar loops survive only as their oracle. For every
+//! table size (including row counts ≢ 0 mod 64 and empty tables), every
+//! predicate (all-match, none-match, extreme bands), every fanout, every
+//! group-key distribution (including `i64::MIN/MAX` keys), and every
+//! `DPU_THREADS`, the vectorized filter / partition / join / agg kernels
+//! must be **bit-identical** to the scalar reference paths — same
+//! words, same row order, same accumulator values.
 //!
-//! Tests pass explicit [`Kernel`] arguments instead of flipping the
-//! process-wide `DPU_VECTOR` resolution, so the suite is safe under the
-//! harness's concurrent test execution and runs identically no matter
-//! which kernel the environment selects.
+//! The oracle arm is selected by explicit [`Kernel`] arguments, never by
+//! process-wide state, so the suite is safe under the harness's
+//! concurrent test execution.
 
 use proptest::prelude::*;
 
