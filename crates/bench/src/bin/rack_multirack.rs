@@ -101,11 +101,7 @@ fn suite_templates(c: &mut Cluster) -> (Vec<Template>, usize) {
             let q = c.try_run_at(id, 0.0).expect("every shard must have a live replica");
             assert!(q.matches_single(), "{} diverged from single-node", id.name());
             failovers += q.cost.failovers;
-            Template {
-                name: q.id.name(),
-                cost: q.cost.clone(),
-                xeon_seconds: q.single_cost.xeon.seconds,
-            }
+            Template::of(&q)
         })
         .collect();
     (templates, failovers)

@@ -147,21 +147,21 @@ fn main() {
         .chain(q10_choice.alternatives.iter().map(|(_, e)| e))
         .collect();
     for ((cand, run), est) in q10_runs.iter().zip(q10_ests) {
-        let actual_partials: usize =
-            run.shard_traces.iter().map(|t| t.last().map_or(0, |o| o.rows)).sum();
+        let actual_partials: f64 =
+            run.shard_traces.iter().map(|t| t.last().map_or(0.0, |o| o.rows)).sum();
         row(&[
             cand.name.clone(),
             format!("{:.3}", cand.est_seconds * 1e3),
             format!("{:.3}", cand.profiled.total_seconds() * 1e3),
             format!("{:.0}", est.partial_rows),
-            format!("{actual_partials}"),
+            format!("{actual_partials:.0}"),
         ]);
         placements_json.push(Json::obj([
             ("merge", Json::str(&cand.name)),
             ("est_seconds", Json::num(cand.est_seconds)),
             ("profiled_seconds", Json::num(cand.profiled.total_seconds())),
             ("est_partial_rows", Json::num(est.partial_rows)),
-            ("actual_partial_rows", Json::num(actual_partials as f64)),
+            ("actual_partial_rows", Json::num(actual_partials)),
         ]));
     }
 
@@ -171,11 +171,11 @@ fn main() {
     // decision-relevant: the estimate picks shuffle, the profile shows
     // gather is cheaper. That is the gap the adaptive layer closes.
     let q10_est_partials = q10_choice.estimate.partial_rows;
-    let q10_actual_partials: usize =
-        q10_runs[0].1.shard_traces.iter().map(|t| t.last().map_or(0, |o| o.rows)).sum();
+    let q10_actual_partials: f64 =
+        q10_runs[0].1.shard_traces.iter().map(|t| t.last().map_or(0.0, |o| o.rows)).sum();
     assert!(
-        q10_est_partials > 1.5 * q10_actual_partials as f64,
-        "Q10 partials must be over-estimated: est {q10_est_partials:.0} vs actual {q10_actual_partials}"
+        q10_est_partials > 1.5 * q10_actual_partials,
+        "Q10 partials must be over-estimated: est {q10_est_partials:.0} vs actual {q10_actual_partials:.0}"
     );
     assert_eq!(q10_choice.plan.merge.name(), "shuffle-topk", "estimate must pick shuffle");
     let q10_profiled_best = q10_runs
@@ -202,11 +202,9 @@ fn main() {
     let mut candidate_sets: Vec<Vec<CandidatePlan>> = Vec::new();
     for id in serve_ids {
         let (_, _, runs) = profiled.iter().find(|(pid, _, _)| *pid == id).expect("profiled");
-        templates.push(Template {
-            name: id.name(),
-            cost: runs[0].0.profiled.clone(),
-            xeon_seconds: runs[0].1.query.single_cost.xeon.seconds,
-        });
+        // Served at the candidate's profiled cost.
+        templates
+            .push(Template { cost: runs[0].0.profiled.clone(), ..Template::of(&runs[0].1.query) });
         candidate_sets.push(runs.iter().map(|(c, _)| c.clone()).collect());
     }
     let rack = XeonRack::rack_42u();

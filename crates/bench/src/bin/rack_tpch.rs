@@ -177,11 +177,7 @@ fn suite_templates(c: &mut Cluster) -> Vec<Template> {
         .map(|&id| {
             let q = c.try_run_at(id, 0.0).expect("suite must run on a healthy/replicated cluster");
             assert!(q.matches_single(), "{} diverged from single-node", id.name());
-            Template {
-                name: q.id.name(),
-                cost: q.cost.clone(),
-                xeon_seconds: q.single_cost.xeon.seconds,
-            }
+            Template::of(&q)
         })
         .collect()
 }
@@ -407,11 +403,7 @@ fn main() {
             ("failovers", Json::num(r.cost.failovers as f64)),
             ("matches_single_node", Json::Bool(true)),
         ]));
-        templates.push(Template {
-            name: r.id.name(),
-            cost: r.cost.clone(),
-            xeon_seconds: r.single_cost.xeon.seconds,
-        });
+        templates.push(Template::of(&r));
     }
     println!("\nAll {} distributed query results are bit-identical to single-node.", queries.len());
     if args.speculate {
@@ -655,11 +647,7 @@ fn main() {
                 Ok(q) => {
                     assert!(q.matches_single(), "{} diverged under faults", id.name());
                     failovers += q.cost.failovers;
-                    tmpls.push(Template {
-                        name: q.id.name(),
-                        cost: q.cost.clone(),
-                        xeon_seconds: q.single_cost.xeon.seconds,
-                    });
+                    tmpls.push(Template::of(&q));
                 }
                 Err(_) => {
                     available = false;

@@ -42,8 +42,9 @@
 //! - partial results are re-derived from a surviving replica if their
 //!   executor dies before a (re-)gather — a completed node is assumed to
 //!   have drained its send DMA, so only *unsent* state needs re-derivation;
-//! - the gather destination and Q10's shuffle owners fail over the same
-//!   way (next live node in ring order, one timeout per detection).
+//! - the gather destination (Q10's gather of owner outputs included) and
+//!   Q10's shuffle owners fail over the same way (next live node in ring
+//!   order, one timeout per detection).
 //!
 //! # Topology awareness
 //!
@@ -67,6 +68,7 @@
 //!
 //! [failover timeout]: crate::topology::Topology::failover_timeout_cycles
 
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 use dpu_core::rack::Rack;
@@ -976,30 +978,30 @@ impl Cluster {
         })
     }
 
-    /// Gathers every shard's partial to a coordinator node, failing the
+    /// Gathers one output per source to a coordinator node, failing the
     /// coordinator over (next live node in ring order) if it crashes
-    /// before the last byte lands. Returns the destination, the landing
-    /// time, and extra failover count.
+    /// before the last byte lands. `sources` holds each output's node
+    /// and bytes, which choose the destination; `locate(self, i, t,
+    /// dst)` names the node that ships output `i` toward `dst` at or
+    /// after `t` and when it is ready there. Returns the landing time and
+    /// the extra failover count.
     fn gather_with_failover(
         &mut self,
-        runs: &[ShardRun],
-        costs: &[NodeCost],
-        bytes: &[u64],
+        sources: &[(usize, u64)],
         start: f64,
-    ) -> Result<(usize, Time, usize), QueryError> {
+        mut locate: impl FnMut(&mut Self, usize, f64, usize) -> Result<(usize, f64), QueryError>,
+    ) -> Result<(Time, usize), QueryError> {
         let n = self.core.sharded.n_nodes();
         let timeout = self.fabric.failover_timeout_seconds();
-        let sources: Vec<(usize, u64)> =
-            runs.iter().zip(bytes).map(|(r, &b)| (r.node, b)).collect();
         let mut t_try = start;
         let mut failovers = 0usize;
         for _ in 0..=n {
-            let Some(dst) = self.gather_destination(&sources, t_try) else {
+            let Some(dst) = self.gather_destination(sources, t_try) else {
                 return Err(QueryError::NoLiveNodes);
             };
-            let mut parts = Vec::with_capacity(runs.len());
-            for (s, &b) in bytes.iter().enumerate().take(runs.len()) {
-                let (src, ready) = self.partial_source(s, t_try, runs, costs, dst)?;
+            let mut parts = Vec::with_capacity(sources.len());
+            for (i, &(_, b)) in sources.iter().enumerate() {
+                let (src, ready) = locate(self, i, t_try, dst)?;
                 parts.push((src, self.fabric.at_seconds(ready), b));
             }
             let done = self.fabric.gather(&parts, dst);
@@ -1007,50 +1009,58 @@ impl Cluster {
                 Some(tc) if tc < self.fabric.seconds(done) => {
                     // The coordinator died mid-gather: detected one
                     // timeout later, the next live node takes over and
-                    // the partials are re-shipped.
+                    // the outputs are re-shipped.
                     failovers += 1;
                     t_try = tc + timeout;
                 }
-                _ => return Ok((dst, done, failovers)),
+                _ => return Ok((done, failovers)),
             }
         }
         Err(QueryError::NoLiveNodes)
     }
 
-    /// The single-gather costing: schedules local phases with failover,
-    /// gathers the per-shard partials, and prices the coordinator merge
-    /// over their rows.
-    fn scatter_gather_cost(
+    /// Re-merges shuffle owner `j`'s groups after its host `dead` is
+    /// lost, detected at `t`: every chunk bound for the owner
+    /// (`chunks[s][j]`) is re-shipped to the next live node in ring
+    /// order — re-derived from a shard replica when its sender is gone
+    /// too — and merged there. Returns the new host and when its merge
+    /// completes.
+    fn remerge(
         &mut self,
+        dead: usize,
+        t: f64,
+        chunks: &[Vec<Table>],
+        j: usize,
+        runs: &[ShardRun],
         per_shard: &[NodeCost],
-        partials: &[Table],
-        start: f64,
-    ) -> Result<ClusterQueryCost, QueryError> {
-        self.fabric.reset();
-        let (runs, per_node, local_failovers, speculations) =
-            self.schedule_local(per_shard, start)?;
-        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
-        let bytes: Vec<u64> = partials.iter().map(Table::bytes).collect();
-        let (_, done, gather_failovers) =
-            self.gather_with_failover(&runs, per_shard, &bytes, start)?;
-        let end = self.fabric.seconds(done).max(local_end);
-        let merge_rows: usize = partials.iter().map(Table::rows).sum();
-        Ok(ClusterQueryCost {
-            per_node,
-            local_seconds: local_end - start,
-            fabric_seconds: end - local_end,
-            merge_seconds: merge_cpu_seconds(merge_rows),
-            fabric_bytes: self.fabric.payload_bytes(),
-            failovers: local_failovers + gather_failovers,
-            speculations,
-        })
+    ) -> Result<(usize, f64), QueryError> {
+        let n = self.core.sharded.n_nodes();
+        let Some(next) = (0..n).map(|d| (dead + 1 + d) % n).find(|&v| !self.faults.is_down(v, t))
+        else {
+            return Err(QueryError::NoLiveNodes);
+        };
+        let mut landed = self.fabric.at_seconds(t);
+        let mut rows_in = 0;
+        for (s, row) in chunks.iter().enumerate() {
+            let (rows, bytes) = (row[j].rows(), row[j].bytes());
+            rows_in += rows;
+            if bytes == 0 {
+                continue;
+            }
+            let (src, src_ready) = self.partial_source(s, t, runs, per_shard, next)?;
+            let ready = self.fabric.at_seconds(src_ready);
+            landed = landed.max(self.fabric.transfer(ready, src, next, bytes));
+        }
+        let slow = self.faults.compute_factor(next, t);
+        Ok((next, self.fabric.seconds(landed) + merge_cpu_seconds(rows_in) / slow))
     }
 
     /// The merge executor every distributed query ends in: given each
     /// shard's partial and local-phase cost, schedules the local phases
     /// with failover from `start`, moves the partials over the fabric as
-    /// `merge` prescribes, and combines them. Scalar partials arrive as
-    /// the one-row tables of [`MergeStrategy::scalar_partial`].
+    /// `merge` prescribes — one gather to the coordinator, or a shuffle
+    /// to owners whose outputs are gathered — and combines what the
+    /// coordinator receives. Scalar partials arrive as one-row tables.
     ///
     /// # Panics
     ///
@@ -1062,19 +1072,35 @@ impl Cluster {
         per_shard: &[NodeCost],
         start: f64,
     ) -> Result<(QueryOutput, ClusterQueryCost), QueryError> {
-        let output = match merge {
-            MergeStrategy::ShuffleTopK { key, spec, value, k, ties } => {
+        self.fabric.reset();
+        let (runs, per_node, local_failovers, speculations) =
+            self.schedule_local(per_shard, start)?;
+        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
+        let (gathered, done, merge_failovers) = match merge {
+            MergeStrategy::ShuffleTopK { key, spec, value, k, .. } => {
                 let owner_merge = |received: &[Table]| agg_top_k(spec, received, value, *k);
-                let (candidates, cost) =
-                    self.shuffle(partials, per_shard, key, owner_merge, start)?;
-                return Ok((QueryOutput::Table(merge_topk(&candidates, value, *k, ties)), cost));
+                let (outputs, done, failovers) =
+                    self.shuffle(partials, per_shard, &runs, key, owner_merge, local_end)?;
+                (Cow::Owned(outputs), done, failovers)
             }
-            MergeStrategy::Reagg(spec) => QueryOutput::Table(spec.merge_partials(partials)),
-            MergeStrategy::TopKMerge { value, k, ties } => {
-                QueryOutput::Table(merge_topk(partials, value, *k, ties))
+            _ => {
+                let sources: Vec<(usize, u64)> =
+                    runs.iter().zip(partials).map(|(r, p)| (r.node, p.bytes())).collect();
+                let (done, failovers) =
+                    self.gather_with_failover(&sources, start, |c, s, t, dst| {
+                        c.partial_source(s, t, &runs, per_shard, dst)
+                    })?;
+                (Cow::Borrowed(partials), done, failovers)
+            }
+        };
+        let output = match merge {
+            MergeStrategy::Reagg(spec) => QueryOutput::Table(spec.merge_partials(&gathered)),
+            MergeStrategy::TopKMerge { value, k, ties }
+            | MergeStrategy::ShuffleTopK { value, k, ties, .. } => {
+                QueryOutput::Table(merge_topk(&gathered, value, *k, ties))
             }
             MergeStrategy::GatherTopK { spec, value, k } => {
-                QueryOutput::Table(agg_top_k(spec, partials, value, *k))
+                QueryOutput::Table(agg_top_k(spec, &gathered, value, *k))
             }
             MergeStrategy::SumScalars { names } => {
                 assert!(
@@ -1091,38 +1117,43 @@ impl Cluster {
                 }
             }
         };
-        let cost = self.scatter_gather_cost(per_shard, partials, start)?;
+        let end = self.fabric.seconds(done).max(local_end);
+        let merge_rows: usize = gathered.iter().map(Table::rows).sum();
+        let cost = ClusterQueryCost {
+            per_node,
+            local_seconds: local_end - start,
+            fabric_seconds: end - local_end,
+            merge_seconds: merge_cpu_seconds(merge_rows),
+            fabric_bytes: self.fabric.payload_bytes(),
+            failovers: local_failovers + merge_failovers,
+            speculations,
+        };
         Ok((output, cost))
     }
 
-    /// The two-phase re-keyed aggregation. Phase 1 schedules the local
-    /// phases (failover-routed like every local phase); phase 2
-    /// reshuffles partials all-to-all by the hash of `key` to owner
-    /// nodes chosen among the nodes live when the last local phase
-    /// finishes; phase 3 runs `owner_merge` over each owner's complete
-    /// groups (an owner that dies mid-merge fails over to the next live
-    /// node, with dead senders' chunks re-derived from shard replicas);
-    /// phase 4 gathers the owners' outputs to the coordinator. Returns
-    /// the gathered per-owner tables, in owner order, for the final
-    /// merge.
+    /// The two-phase re-keyed aggregation after the local phases
+    /// (`runs`, the last finishing at `local_end`): reshuffles partials
+    /// all-to-all by the hash of `key` to owner nodes chosen among the
+    /// nodes live at `local_end`; runs `owner_merge` over each owner's
+    /// complete groups (an owner that dies mid-merge fails over to the
+    /// next live node, with dead senders' chunks re-derived from shard
+    /// replicas); then gathers the owners' outputs to the coordinator.
+    /// Returns the per-owner outputs in owner order, the gather's landing
+    /// time and the failovers it took.
     fn shuffle(
         &mut self,
         partials: &[Table],
         per_shard: &[NodeCost],
+        runs: &[ShardRun],
         key: &str,
         owner_merge: impl Fn(&[Table]) -> Table + Sync,
-        start: f64,
-    ) -> Result<(Vec<Table>, ClusterQueryCost), QueryError> {
+        local_end: f64,
+    ) -> Result<(Vec<Table>, Time, usize), QueryError> {
         let n = self.core.sharded.n_nodes();
         let timeout = self.fabric.failover_timeout_seconds();
+        let mut failovers = 0;
 
-        // Phase 1: schedule the already-computed local phases.
-        self.fabric.reset();
-        let (runs, per_node, mut failovers, speculations) =
-            self.schedule_local(per_shard, start)?;
-        let local_end = runs.iter().map(|r| r.done_seconds).fold(start, f64::max);
-
-        // Phase 2: all-to-all reshuffle of partial groups to owners —
+        // Phase 1: all-to-all reshuffle of partial groups to owners —
         // the nodes still alive when the last local phase finishes.
         let live = self.faults.live_nodes(n, local_end);
         if live.is_empty() {
@@ -1134,7 +1165,7 @@ impl Cluster {
             .par_map(partials.iter().collect(), |p| shard_table(p, key, &owner_policy));
         let mut matrix = vec![vec![0u64; n]; n];
         let mut ready = vec![self.fabric.at_seconds(local_end); n];
-        for run in &runs {
+        for run in runs {
             ready[run.node] = self.fabric.at_seconds(run.done_seconds);
         }
         for (s, row) in chunks.iter().enumerate() {
@@ -1144,7 +1175,7 @@ impl Cluster {
         }
         let shuffled = self.fabric.all_to_all(&ready, &matrix);
 
-        // Phase 3: owners merge their complete groups. An owner that
+        // Phase 2: owners merge their complete groups. An owner that
         // crashes before its merge completes fails over: the chunks are
         // re-shipped to the next live node (re-derived from a shard
         // replica when their sender is gone too) and merged there.
@@ -1166,60 +1197,35 @@ impl Cluster {
                 match self.faults.crash_time(host) {
                     Some(tc) if tc < done_s => {
                         failovers += 1;
-                        let t_retry = tc + timeout;
-                        let Some(next) = (0..n)
-                            .map(|d| (host + 1 + d) % n)
-                            .find(|&v| !self.faults.is_down(v, t_retry))
-                        else {
-                            return Err(QueryError::NoLiveNodes);
-                        };
-                        // Re-ship every chunk bound for the dead owner.
-                        let mut landed = self.fabric.at_seconds(t_retry);
-                        for (s, row) in chunks.iter().enumerate() {
-                            if row[j].bytes() == 0 {
-                                continue;
-                            }
-                            let (src, src_ready) =
-                                self.partial_source(s, t_retry, &runs, per_shard, next)?;
-                            landed = landed.max(self.fabric.transfer(
-                                self.fabric.at_seconds(src_ready),
-                                src,
-                                next,
-                                row[j].bytes(),
-                            ));
-                        }
-                        host = next;
-                        done_s = self.fabric.seconds(landed)
-                            + merge_cpu_seconds(rows_in)
-                                / self.faults.compute_factor(next, t_retry);
+                        (host, done_s) =
+                            self.remerge(host, tc + timeout, &chunks, j, runs, per_shard)?;
                     }
                     _ => break,
                 }
             }
-            out_parts.push((host, self.fabric.at_seconds(done_s), out.bytes()));
+            out_parts.push((host, done_s, out.bytes()));
             outputs.push(out);
         }
 
-        // Phase 4: gather the owners' outputs to the coordinator (the
+        // Phase 3: gather the owners' outputs to the coordinator (the
         // live node with the cheapest hop-weighted inbound — the lowest
-        // live id with one rack).
+        // live id with one rack), through the same coordinator failover
+        // as a single gather. An output whose holder has died by a
+        // re-gather is merged again from re-derived chunks.
         let sources: Vec<(usize, u64)> = out_parts.iter().map(|&(host, _, b)| (host, b)).collect();
-        let Some(dst) = self.gather_destination(&sources, local_end) else {
-            return Err(QueryError::NoLiveNodes);
-        };
-        let done = self.fabric.gather(&out_parts, dst);
-        let end = self.fabric.seconds(done).max(local_end);
-        let out_rows: usize = outputs.iter().map(Table::rows).sum();
-        let cost = ClusterQueryCost {
-            per_node,
-            local_seconds: local_end - start,
-            fabric_seconds: end - local_end,
-            merge_seconds: merge_cpu_seconds(out_rows),
-            fabric_bytes: self.fabric.payload_bytes(),
-            failovers,
-            speculations,
-        };
-        Ok((outputs, cost))
+        let (done, gather_failovers) =
+            self.gather_with_failover(&sources, local_end, |c, j, t, _| {
+                let (host, done_s, _) = out_parts[j];
+                if c.faults.is_down(host, t) {
+                    c.remerge(host, t, &chunks, j, runs, per_shard)
+                } else if t > local_end {
+                    // A re-gather re-ships from the takeover instant.
+                    Ok((host, done_s.max(t)))
+                } else {
+                    Ok((host, done_s))
+                }
+            })?;
+        Ok((outputs, done, failovers + gather_failovers))
     }
 }
 

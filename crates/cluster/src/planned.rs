@@ -18,7 +18,7 @@
 //! fabric model and picks.
 
 use dpu_pool::Pool;
-use dpu_sql::logical::{Finish, LogicalOutput, LogicalPlan, OpRows};
+use dpu_sql::logical::{Finish, LogicalPlan, OpRows};
 use dpu_sql::{Column, GroupBySpec, QueryCost, Table};
 
 use crate::coordinator::{Cluster, DistributedQuery, NodeCost, QueryError, QueryId};
@@ -146,10 +146,15 @@ impl Cluster {
         plan: &PhysicalPlan,
         start: f64,
     ) -> Result<PlannedRun, QueryError> {
+        assert_eq!(
+            matches!(plan.local.finish, Finish::ScalarSums(_)),
+            matches!(plan.merge, MergeStrategy::SumScalars { .. }),
+            "local-phase output shape does not match the merge strategy"
+        );
         let core = self.core().clone();
         let (single_output, single_cost) = self.single_ref(plan.id);
         let scale = core.cfg().scale;
-        let locals: Vec<(LogicalOutput, QueryCost, Vec<OpRows>)> = Pool::global()
+        let locals: Vec<(Table, QueryCost, Vec<OpRows>)> = Pool::global()
             .par_map(core.sharded().shards.iter().collect(), |db| {
                 plan.local.execute_costed(db, core.xeon(), scale)
             });
@@ -157,14 +162,7 @@ impl Cluster {
             locals.iter().map(|(_, c, _)| NodeCost::from_dpu(&c.dpu)).collect();
         let shard_traces: Vec<Vec<OpRows>> = locals.iter().map(|(_, _, t)| t.clone()).collect();
         let local_costs: Vec<QueryCost> = locals.iter().map(|(_, c, _)| *c).collect();
-
-        let partials: Vec<Table> = locals
-            .into_iter()
-            .map(|(out, _, _)| match out {
-                LogicalOutput::Table(t) => t,
-                LogicalOutput::Scalars(v) => plan.merge.scalar_partial(&v),
-            })
-            .collect();
+        let partials: Vec<Table> = locals.into_iter().map(|(t, _, _)| t).collect();
         let (output, cost) = self.merge(&plan.merge, &partials, &per_shard, start)?;
         Ok(PlannedRun {
             query: DistributedQuery { id: plan.id, output, single_output, cost, single_cost },

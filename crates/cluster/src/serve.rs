@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use dpu_sim::SplitMix64;
 use xeon_model::XeonRack;
 
-use crate::coordinator::ClusterQueryCost;
+use crate::coordinator::{ClusterQueryCost, DistributedQuery};
 use crate::engine::{self, Arrivals, Policy};
 use crate::fabric::{FabricConfig, ServeFabric};
 
@@ -31,6 +31,18 @@ pub struct Template {
     pub cost: ClusterQueryCost,
     /// The per-socket Xeon time for the same query, seconds.
     pub xeon_seconds: f64,
+}
+
+impl Template {
+    /// A distributed run's template: its cluster cost against the
+    /// single-node query's per-socket Xeon time.
+    pub fn of(q: &DistributedQuery) -> Template {
+        Template {
+            name: q.id.name(),
+            cost: q.cost.clone(),
+            xeon_seconds: q.single_cost.xeon.seconds,
+        }
+    }
 }
 
 /// A period of degraded service: from a node's crash until its recovery

@@ -1,13 +1,16 @@
 //! Estimated costing of physical plans.
 //!
-//! The estimator walks a [`LogicalPlan`] exactly the way
-//! `LogicalPlan::execute_costed` does — same [`CostAcc`] roofline, same
-//! per-operator constants, same trace labels — but drives it with
-//! *estimated* cardinalities from the [`Catalog`] instead of actual
-//! rows. An EXPLAIN can therefore line estimated rows up against actual
-//! rows operator by operator, and an estimate differs from a
-//! measurement only where the statistics were wrong, never because the
-//! models disagree.
+//! A plan's local phase is priced by one walk,
+//! [`LogicalPlan::price`] in `dpu-sql`, over a [`PlanRows`] record of
+//! per-operator cardinalities with two sources: the executor records
+//! its real counts, this module estimates them from the catalog. Every
+//! roofline charge, per-operator constant and trace label therefore
+//! comes from the code that prices execution, and an EXPLAIN can line
+//! estimated rows up against actual rows operator by operator: an
+//! estimate differs from a measurement only where the statistics were
+//! wrong, never because the models disagree. What lives here is the
+//! estimating itself — filter selectivities, NDV join sizes, group
+//! counts and the HAVING default.
 //!
 //! On top of the per-shard walk it costs the merge strategy over the
 //! fabric model: a gather serializes every partial through the
@@ -16,10 +19,9 @@
 //! asymmetry the optimizer exploits on Q10.
 
 use dpu_cluster::{FabricConfig, MergeStrategy, PhysicalPlan, Topology};
-use dpu_sql::agg::GroupByPlan;
-use dpu_sql::logical::{Finish, LogicalPlan, Relation, Source};
-use dpu_sql::tpch::{join_cost, AGG_DPU, AGG_XEON, SCAN_DPU, SCAN_XEON, XEON_DB_EFFICIENCY};
-use dpu_sql::{CostAcc, GroupBySpec, QueryCost};
+use dpu_sql::logical::{Finish, LogicalPlan, OpRows, PlanRows, Relation, ScanRows, Source};
+use dpu_sql::tpch::AGG_DPU;
+use dpu_sql::GroupBySpec;
 use xeon_model::Xeon;
 
 use crate::stats::Catalog;
@@ -27,16 +29,6 @@ use crate::stats::Catalog;
 /// The planner's uninformed default for HAVING predicates over
 /// aggregated columns (no base-column statistics exist for them).
 pub const HAVING_SELECTIVITY: f64 = 0.05;
-
-/// Estimated rows out of one operator, labelled identically to the
-/// executor's `OpRows` trace.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EstRows {
-    /// Stable operator label (matches the actual trace).
-    pub label: String,
-    /// Estimated output rows, summed across shards.
-    pub rows: f64,
-}
 
 /// A costed estimate for one physical plan.
 #[derive(Debug, Clone)]
@@ -52,7 +44,7 @@ pub struct PlanEstimate {
     /// Estimated partial-result rows surrendered by all shards.
     pub partial_rows: f64,
     /// Per-operator estimated rows (cluster-wide), in trace order.
-    pub ops: Vec<EstRows>,
+    pub ops: Vec<OpRows>,
 }
 
 impl PlanEstimate {
@@ -74,25 +66,26 @@ pub struct CostModel<'a> {
     /// (see [`CostModel::merge_estimate`]). A single-rack topology
     /// prices exactly like the flat model.
     pub topo: Topology,
-    /// Nodes in the rack.
-    pub n_nodes: usize,
     /// Full-scale multiplier (`ClusterConfig::scale`).
     pub scale: u64,
 }
 
 impl CostModel<'_> {
-    /// Prices a physical plan: per-shard estimated walk (max over shards
-    /// for the local phase) plus the merge strategy over the fabric.
+    /// Prices a physical plan: the local-phase walk over each shard's
+    /// estimated cardinalities (max over shards for the local phase)
+    /// plus the merge strategy over the fabric.
     pub fn estimate(&self, plan: &PhysicalPlan) -> PlanEstimate {
         let xeon = Xeon::new();
-        let n = self.catalog.n_shards;
         let mut local_seconds = 0.0f64;
         let mut partial_rows = 0.0f64;
-        let mut ops: Vec<EstRows> = Vec::new();
-        for shard in 0..n {
-            let (cost, out_rows, shard_ops) = self.walk(&plan.local, shard, &xeon);
+        let mut ops: Vec<OpRows> = Vec::new();
+        // An estimate charges at least one row per operator.
+        let charged = |n: f64| n.max(1.0) as u64;
+        for shard in 0..self.catalog.n_shards {
+            let rows = self.plan_rows(&plan.local, shard);
+            let (cost, shard_ops) = plan.local.price(&rows, charged, &xeon, self.scale);
             local_seconds = local_seconds.max(cost.dpu.seconds);
-            partial_rows += out_rows;
+            partial_rows += rows.out;
             if ops.is_empty() {
                 ops = shard_ops;
             } else {
@@ -114,142 +107,71 @@ impl CostModel<'_> {
         }
     }
 
-    /// Mirrors `execute_costed` with estimated cardinalities. Returns the
-    /// estimated per-shard cost, output rows and the labelled op trace.
-    fn walk(
-        &self,
-        plan: &LogicalPlan,
-        shard: usize,
-        xeon: &Xeon,
-    ) -> (QueryCost, f64, Vec<EstRows>) {
-        let mut acc = CostAcc::with_scale(self.scale);
-        let mut ops = Vec::new();
-        let mut rows = self.scan_estimate(&plan.scans[plan.first], shard, &mut acc, &mut ops);
+    /// One shard's estimated (fractional) cardinalities for a local
+    /// phase.
+    fn plan_rows(&self, plan: &LogicalPlan, shard: usize) -> PlanRows {
+        let scans = plan.scans.iter().map(|rel| self.scan_rows(rel, shard)).collect();
+        let mut rows = PlanRows { scans, ..PlanRows::default() };
+        let mut cur = rows.scans[plan.first].out;
         for j in &plan.joins {
-            let other = self.scan_estimate(&plan.scans[j.scan], shard, &mut acc, &mut ops);
-            let (build, probe) = if j.build_acc { (rows, other) } else { (other, rows) };
-            let probe_base =
-                if j.build_acc { self.base_rows(&plan.scans[j.scan], shard) } else { probe };
-            join_cost(
-                &mut acc,
-                build.max(1.0) as u64,
-                probe.max(1.0) as u64,
-                4 * probe_base.max(1.0) as u64,
-            );
             let d = self
                 .catalog
                 .shard_ndv(&j.build_key)
                 .max(self.catalog.shard_ndv(&j.probe_key))
                 .max(1.0);
-            rows = build * probe / d;
-            ops.push(EstRows {
-                label: format!("join {}={} fanout={}", j.build_key, j.probe_key, j.fanout),
-                rows,
-            });
+            cur = cur * rows.scans[j.scan].out / d;
+            rows.joins.push(cur);
         }
         if !plan.post_filters.is_empty() {
-            acc.compute(rows.max(1.0) as u64, SCAN_DPU, SCAN_XEON);
             // Residual filters reference columns from any base relation.
             for f in &plan.post_filters {
                 let sel = self
                     .catalog
                     .column(&f.col)
                     .map_or(HAVING_SELECTIVITY, |(t, _)| self.catalog.table(t).selectivity(f));
-                rows *= sel;
+                cur *= sel;
             }
-            ops.push(EstRows { label: "filter residual".into(), rows });
+            rows.residual = cur;
         }
         if let Some((a, b)) = &plan.col_eq {
-            rows /= self.catalog.ndv(a).max(self.catalog.ndv(b)).max(1.0);
+            cur /= self.catalog.ndv(a).max(self.catalog.ndv(b)).max(1.0);
         }
-        let out = match &plan.finish {
-            Finish::Agg(spec) => {
-                acc.compute(rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
-                let g = self.group_estimate(spec, rows);
-                ops.push(EstRows { label: agg_label(spec), rows: g });
-                g
+        rows.finish_in = cur;
+        rows.out = match &plan.finish {
+            Finish::Agg(spec) | Finish::AggTopK { spec, .. } => {
+                rows.groups = self.group_estimate(spec, cur);
+                rows.groups
             }
-            Finish::AggTopK { spec, value, k } => {
-                acc.compute(rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
-                let g = self.group_estimate(spec, rows);
-                ops.push(EstRows { label: agg_label(spec), rows: g });
-                let t = g.min(*k as f64);
-                ops.push(EstRows { label: format!("topk {value} k={k}"), rows: t });
-                t
-            }
-            Finish::TopK { value, k, .. } => {
-                let t = rows.min(*k as f64);
-                ops.push(EstRows { label: format!("topk {value} k={k}"), rows: t });
-                t
-            }
-            Finish::ScalarSums(sums) => {
-                acc.compute(rows.max(1.0) as u64, 3.0 * sums.len() as f64, 1.5 * sums.len() as f64);
-                ops.push(EstRows { label: "scalar sums".into(), rows: sums.len() as f64 });
-                // The partial table is one row of scalar columns.
-                1.0
-            }
+            Finish::TopK { .. } => cur,
+            // The partial table is one row of scalar columns.
+            Finish::ScalarSums(_) => 1.0,
         };
-        let mut cost = acc.finish(xeon);
-        cost.xeon.seconds /= XEON_DB_EFFICIENCY;
-        (cost, out, ops)
+        if let Finish::AggTopK { k, .. } | Finish::TopK { k, .. } = &plan.finish {
+            rows.out = rows.out.min(*k as f64);
+        }
+        rows
     }
 
-    /// Rows of a relation's base table on this shard (pre-filter).
-    fn base_rows(&self, rel: &Relation, shard: usize) -> f64 {
-        self.catalog.table(rel.source.table()).per_shard_rows[shard] as f64
-    }
-
-    /// Estimated rows a leaf scan yields on one shard, costing the
-    /// stream exactly like `eval_scan`.
-    fn scan_estimate(
-        &self,
-        rel: &Relation,
-        shard: usize,
-        acc: &mut CostAcc,
-        ops: &mut Vec<EstRows>,
-    ) -> f64 {
-        let table = rel.source.table();
-        let stats = self.catalog.table(table);
-        let base_rows = stats.per_shard_rows[shard] as f64;
-        let frac = if stats.rows == 0 { 0.0 } else { base_rows / stats.rows as f64 };
-        let touched: u64 = rel
+    /// One relation's estimated cardinalities on one shard: its share of
+    /// the base table, the catalog's column bytes pro rata, and the
+    /// filters' selectivity.
+    fn scan_rows(&self, rel: &Relation, shard: usize) -> ScanRows {
+        let stats = self.catalog.table(rel.source.table());
+        let base = stats.per_shard_rows[shard] as f64;
+        let frac = if stats.rows == 0 { 0.0 } else { base / stats.rows as f64 };
+        let bytes = rel
             .touched
             .iter()
-            .map(|c| {
-                let bytes = stats.columns.get(c).map_or(0, |s| s.bytes);
-                (bytes as f64 * frac) as u64
-            })
+            .map(|c| (stats.columns.get(c).map_or(0, |s| s.bytes) as f64 * frac) as u64)
             .sum();
-        acc.stream_both(touched);
-        acc.compute(base_rows.max(1.0) as u64, SCAN_DPU, SCAN_XEON);
-        let staged = match &rel.source {
-            Source::Base(_) => base_rows,
-            Source::GroupHaving { spec, having, .. } => {
-                let g = self.group_estimate(spec, base_rows);
-                let plan = GroupByPlan::plan(((g * self.scale as f64) as u64).max(1), 16);
-                acc.stream(
-                    touched * (plan.dpu_bytes_factor() - 1),
-                    touched * (plan.xeon_bytes_factor() - 1),
-                );
-                acc.compute(base_rows.max(1.0) as u64, AGG_DPU, AGG_XEON);
-                ops.push(EstRows {
-                    label: format!("{} {}", table.name(), agg_label(spec)),
-                    rows: g,
-                });
-                let _ = having;
-                g * HAVING_SELECTIVITY
+        let (groups, staged) = match &rel.source {
+            Source::Base(_) => (0.0, base),
+            Source::GroupHaving { spec, .. } => {
+                let g = self.group_estimate(spec, base);
+                (g, g * HAVING_SELECTIVITY)
             }
         };
-        let out = staged * stats.conjunction(&rel.filters);
-        ops.push(EstRows {
-            label: format!(
-                "scan {}{}",
-                table.name(),
-                if rel.filters.is_empty() { "" } else { " filtered" }
-            ),
-            rows: out,
-        });
-        out
+        ScanRows { base, bytes, groups, out: staged * stats.conjunction(&rel.filters) }
     }
 
     /// Estimated groups a spec yields from `rows` input rows on one
@@ -339,14 +261,6 @@ fn out_arity(plan: &LogicalPlan) -> u64 {
     }
 }
 
-fn agg_label(spec: &GroupBySpec) -> String {
-    if spec.group_cols.is_empty() {
-        "agg".into()
-    } else {
-        format!("agg by {}", spec.group_cols.join(","))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,7 +284,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         for id in QueryId::ALL {
@@ -387,7 +300,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let shuffle = model.estimate(&handwired_physical(QueryId::Q10));
@@ -406,7 +318,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let spine = CostModel { topo: Topology::new(8, 4, 32.0), ..flat.clone() };
@@ -436,7 +347,6 @@ mod tests {
             catalog: &catalog,
             fabric: core.cfg().fabric.clone(),
             topo: core.cfg().topology(),
-            n_nodes: core.cfg().n_nodes,
             scale: core.cfg().scale,
         };
         let xeon = xeon_model::Xeon::new();

@@ -37,7 +37,7 @@ pub fn explain(plan: &PhysicalPlan, est: &PlanEstimate, actual: Option<&PlannedR
     out.push_str("  ops:\n");
     for (i, op) in est.ops.iter().enumerate() {
         let actual_rows = actual.map(|run| {
-            run.shard_traces.iter().map(|t| t.get(i).map_or(0, |o| o.rows)).sum::<usize>()
+            run.shard_traces.iter().map(|t| t.get(i).map_or(0.0, |o| o.rows)).sum::<f64>() as u64
         });
         out.push_str(&format!("    {:<44} est={}", op.label, op.rows.round() as u64));
         if let Some(a) = actual_rows {

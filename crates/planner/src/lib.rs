@@ -6,11 +6,12 @@
 //! - [`stats`] — per-shard statistics: row counts (shared with the skew
 //!   report's source of truth), min/max bands, and HyperLogLog NDV
 //!   sketches merged across shards at the coordinator.
-//! - [`cost`] — an estimator that walks a logical plan with the *same*
-//!   roofline and per-operator constants the executor charges, driven
-//!   by estimated instead of actual cardinalities, plus a fabric model
-//!   of each merge strategy (a gather serializes one RX NIC; a shuffle
-//!   spreads the bytes over all of them).
+//! - [`cost`] — an estimator of per-operator cardinalities. It fills
+//!   the same record the executor fills with actual counts and prices
+//!   it through the one pricing walk, `LogicalPlan::price`, so an
+//!   estimate and a measurement share every charge and label. On top
+//!   sits a fabric model of each merge strategy (a gather serializes
+//!   one RX NIC; a shuffle spreads the bytes over all of them).
 //! - [`optimizer`] — predicate pushdown, DP join-order search over the
 //!   query's join graph, and merge placement; any chosen plan is
 //!   bit-identical to the hand-wired pipeline because every finishing
@@ -30,7 +31,7 @@ pub mod optimizer;
 pub mod profile;
 pub mod stats;
 
-pub use cost::{CostModel, EstRows, PlanEstimate, HAVING_SELECTIVITY};
+pub use cost::{CostModel, PlanEstimate, HAVING_SELECTIVITY};
 pub use explain::explain;
 pub use optimizer::{hoist_filters, pushdown, PlanChoice, Planner};
 pub use profile::{AdaptiveServer, CandidatePlan, PlanSwitch, PlannerMode, TemplateProfile};

@@ -51,7 +51,7 @@ pub use filter::{measure_filter_kernel, CompareOp, FilterSpec};
 pub use hll::{HyperLogLog, RankMethod};
 pub use join::{partition_row_ids, partition_row_ids_with, HashJoin};
 pub use logical::{
-    BaseTable, ColFilter, Finish, JoinEdge, JoinGraph, LogicalOutput, LogicalPlan, Relation, Source,
+    BaseTable, ColFilter, Finish, JoinEdge, JoinGraph, LogicalPlan, Relation, Source,
 };
 pub use plan::{CostAcc, PlatformCost, QueryCost};
 pub use sort::{

@@ -17,11 +17,13 @@
 //! planner search plan space while keeping the repo's bit-identity house
 //! rule (property-tested in `tests/planner_properties.rs`).
 
+use std::borrow::Cow;
+
 use xeon_model::Xeon;
 
 use crate::agg::{GroupByPlan, GroupBySpec};
 use crate::bitvec::BitVec;
-use crate::column::Table;
+use crate::column::{Column, Table};
 use crate::expr::Expr;
 use crate::filter::{CompareOp, FilterSpec};
 use crate::join::HashJoin;
@@ -240,34 +242,17 @@ pub enum Finish {
     ScalarSums(Vec<ScalarSum>),
 }
 
-/// Result of executing a plan.
+/// Per-operator row counts, recorded by [`LogicalPlan::price`] under
+/// stable labels and rendered by the planner's EXPLAIN: actual rows
+/// when the executor prices a plan, estimated rows when the planner
+/// does.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LogicalOutput {
-    /// A result table.
-    Table(Table),
-    /// Scalar sums, in [`Finish::ScalarSums`] order.
-    Scalars(Vec<i64>),
-}
-
-impl LogicalOutput {
-    /// The table, panicking on scalars.
-    pub fn table(&self) -> &Table {
-        match self {
-            LogicalOutput::Table(t) => t,
-            LogicalOutput::Scalars(_) => panic!("scalar output"),
-        }
-    }
-}
-
-/// Per-operator actual row counts, filled by
-/// [`LogicalPlan::execute_costed`] and rendered by the planner's
-/// EXPLAIN.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRows {
     /// Stable operator label.
     pub label: String,
-    /// Rows the operator produced.
-    pub rows: usize,
+    /// Rows the operator produced (whole for an execution, fractional
+    /// for an estimate).
+    pub rows: f64,
 }
 
 /// A declarative query: relations, equi-join edges, and the finish.
@@ -312,26 +297,61 @@ pub struct LogicalPlan {
     pub finish: Finish,
 }
 
+/// Per-operator cardinalities of one local phase, positioned like the
+/// plan they describe: everything [`LogicalPlan::price`] charges. The
+/// executor records real counts, the planner estimates them.
+#[derive(Debug, Clone, Default)]
+pub struct PlanRows {
+    /// Per relation, indexed like [`LogicalPlan::scans`].
+    pub scans: Vec<ScanRows>,
+    /// Rows out of each join step.
+    pub joins: Vec<f64>,
+    /// Rows out of the residual filters, when the plan has some.
+    pub residual: f64,
+    /// Rows the finish consumes (the executor applies the column
+    /// equality inside the group-by; an estimate applies it before).
+    pub finish_in: f64,
+    /// Rows out of the finishing group-by, when the plan has one.
+    pub groups: f64,
+    /// Rows of the finished partial.
+    pub out: f64,
+}
+
+/// One relation's cardinalities.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanRows {
+    /// Rows of the base table, before any filter.
+    pub base: f64,
+    /// Bytes streamed for the touched columns.
+    pub bytes: u64,
+    /// Groups of a grouped derivation.
+    pub groups: f64,
+    /// Rows out of the scan.
+    pub out: f64,
+}
+
 impl LogicalPlan {
-    /// Executes the plan, ignoring cost.
-    pub fn execute(&self, db: &TpchDb) -> LogicalOutput {
+    /// Executes the plan, ignoring cost: the result table, or one row
+    /// of scalar sums in [`Finish::ScalarSums`] order.
+    pub fn execute(&self, db: &TpchDb) -> Table {
         self.execute_costed(db, &Xeon::new(), 1).0
     }
 
-    /// Executes the plan functionally while costing it with the same
-    /// per-operator constants as the hand-wired queries, and records
-    /// per-operator actual row counts for EXPLAIN.
+    /// Executes the plan functionally, records each operator's actual
+    /// rows, and prices them with [`price`](Self::price). Returns the
+    /// partial a shard ships: the result table, or one row of scalar
+    /// sums.
     pub fn execute_costed(
         &self,
         db: &TpchDb,
         xeon: &Xeon,
         scale: u64,
-    ) -> (LogicalOutput, QueryCost, Vec<OpRows>) {
-        let mut acc = CostAcc::with_scale(scale);
-        let mut trace = Vec::new();
-        let mut cur = self.eval_scan(self.first, db, &mut acc, &mut trace);
+    ) -> (Table, QueryCost, Vec<OpRows>) {
+        let mut rows =
+            PlanRows { scans: vec![ScanRows::default(); self.scans.len()], ..PlanRows::default() };
+        let mut cur = self.eval_scan(self.first, db, &mut rows.scans[self.first]);
         for j in &self.joins {
-            let other = self.eval_scan(j.scan, db, &mut acc, &mut trace);
+            let other = self.eval_scan(j.scan, db, &mut rows.scans[j.scan]);
             let (build, probe) = if j.build_acc { (&cur, &other) } else { (&other, &cur) };
             let join = HashJoin {
                 build_key: j.build_key.clone(),
@@ -339,152 +359,186 @@ impl LogicalPlan {
                 build_cols: j.build_cols.clone(),
                 probe_cols: j.probe_cols.clone(),
             };
-            let (out, _) = join.execute(build, probe, j.fanout as u64);
-            // The partition-rounds model keys off the build side; the
-            // shipped key bytes follow the probe side's base column
-            // (pre-filter, matching the hand-wired accounting).
-            let probe_base_rows = if j.build_acc {
-                self.scans[j.scan].source.table().of(db).rows()
-            } else {
-                probe.rows()
-            };
-            join_cost(
-                &mut acc,
-                build.rows() as u64,
-                probe.rows() as u64,
-                4 * probe_base_rows as u64,
-            );
-            trace.push(OpRows {
-                label: format!("join {}={} fanout={}", j.build_key, j.probe_key, j.fanout),
-                rows: out.rows(),
-            });
-            cur = out;
+            cur = Cow::Owned(join.execute(build, probe, j.fanout as u64).0);
+            rows.joins.push(cur.rows() as f64);
         }
         if !self.post_filters.is_empty() {
-            let mut keep = self.post_filters[0].apply(&cur);
-            for f in &self.post_filters[1..] {
-                keep = keep.and(&f.apply(&cur));
-            }
-            acc.compute(cur.rows() as u64, SCAN_DPU, SCAN_XEON);
-            cur = select_rows(&cur, &keep);
-            trace.push(OpRows { label: "filter residual".into(), rows: cur.rows() });
+            cur = Cow::Owned(select_rows(&cur, &matching(&cur, &self.post_filters)));
+            rows.residual = cur.rows() as f64;
         }
+        rows.finish_in = cur.rows() as f64;
         let sel = self.col_eq.as_ref().map(|(a, b)| {
             let ca = &cur.columns[cur.col_index(a)].data;
             let cb = &cur.columns[cur.col_index(b)].data;
             BitVec::from_fn(cur.rows(), |r| ca[r] == cb[r])
         });
         let out = match &self.finish {
-            Finish::Agg(spec) => {
-                acc.compute(cur.rows() as u64, AGG_DPU, AGG_XEON);
-                let t = spec.execute(&cur, sel.as_ref());
-                trace.push(OpRows { label: agg_label(spec), rows: t.rows() });
-                LogicalOutput::Table(t)
-            }
-            Finish::AggTopK { spec, value, k } => {
-                acc.compute(cur.rows() as u64, AGG_DPU, AGG_XEON);
+            Finish::Agg(spec) | Finish::AggTopK { spec, .. } => {
                 let grouped = spec.execute(&cur, sel.as_ref());
-                trace.push(OpRows { label: agg_label(spec), rows: grouped.rows() });
-                let top = top_k(&grouped, value, (*k).min(grouped.rows().max(1)), 32);
-                let t = project_rows(&grouped, &top);
-                trace.push(OpRows { label: format!("topk {value} k={k}"), rows: t.rows() });
-                LogicalOutput::Table(t)
-            }
-            Finish::TopK { value, k, sort_by } => {
-                let mut jo = cur;
-                if let Some(key) = sort_by {
-                    let mut order: Vec<usize> = (0..jo.rows()).collect();
-                    order.sort_by_key(|&r| jo.columns[jo.col_index(key)].data[r]);
-                    jo = project_rows(&jo, &order);
+                rows.groups = grouped.rows() as f64;
+                match &self.finish {
+                    Finish::AggTopK { value, k, .. } => top_rows(&grouped, value, *k, None),
+                    _ => grouped,
                 }
-                let top = top_k(&jo, value, (*k).min(jo.rows().max(1)), 32);
-                let t = project_rows(&jo, &top);
-                trace.push(OpRows { label: format!("topk {value} k={k}"), rows: t.rows() });
-                LogicalOutput::Table(t)
             }
+            Finish::TopK { value, k, sort_by } => top_rows(&cur, value, *k, sort_by.as_deref()),
             Finish::ScalarSums(sums) => {
-                acc.compute(cur.rows() as u64, 3.0 * sums.len() as f64, 1.5 * sums.len() as f64);
-                let mut vals = Vec::with_capacity(sums.len());
-                for s in sums {
+                let sum = |s: &ScalarSum| {
                     let v = s.expr.eval(&cur);
                     let keep = s.filter.as_ref().map(|f| f.apply(&cur));
-                    let total: i64 = v
+                    let total = v
                         .iter()
                         .enumerate()
                         .filter(|(r, _)| keep.as_ref().is_none_or(|b| b.get(*r)))
                         .map(|(_, &x)| x)
                         .sum();
-                    vals.push(total);
-                }
-                trace.push(OpRows { label: "scalar sums".into(), rows: sums.len() });
-                LogicalOutput::Scalars(vals)
+                    Column::i64(&s.name, vec![total])
+                };
+                Table::new(sums.iter().map(sum).collect())
             }
         };
-        let mut cost = acc.finish(xeon);
-        cost.xeon.seconds /= XEON_DB_EFFICIENCY;
+        rows.out = out.rows() as f64;
+        let (cost, trace) = self.price(&rows, |n| n as u64, xeon, scale);
         (out, cost, trace)
     }
 
-    /// Evaluates one leaf: filters, materializes, costs the stream.
-    fn eval_scan(
-        &self,
-        i: usize,
-        db: &TpchDb,
-        acc: &mut CostAcc,
-        trace: &mut Vec<OpRows>,
-    ) -> Table {
+    /// Evaluates one leaf and records its cardinalities.
+    fn eval_scan<'a>(&self, i: usize, db: &'a TpchDb, rows: &mut ScanRows) -> Cow<'a, Table> {
         let rel = &self.scans[i];
         let base = rel.source.table().of(db);
         // Scans stream *resident* bytes: packed columns move their
         // FOR/bit-packed words through the memory system, not the flat
         // width. Packing is unconditional at load, so this depends only
         // on the data.
-        let touched: u64 = rel
-            .touched
-            .iter()
-            .map(|n| base.column(n).expect("touched column").resident_bytes())
-            .sum();
-        acc.stream_both(touched);
-        acc.compute(base.rows() as u64, SCAN_DPU, SCAN_XEON);
+        let touched = rel.touched.iter().map(|n| base.column(n).expect("touched column"));
+        rows.base = base.rows() as f64;
+        rows.bytes = touched.map(|c| c.resident_bytes()).sum();
         let staged = match &rel.source {
-            Source::Base(_) => base.clone(),
+            Source::Base(_) => Cow::Borrowed(base),
             Source::GroupHaving { spec, having, .. } => {
-                // The big group-by streams extra partition rounds at the
-                // full-scale NDV, like the hand-wired Q18 accounting.
                 let grouped = spec.execute(base, None);
-                let plan = GroupByPlan::plan((grouped.rows() as u64 * acc.scale()).max(1), 16);
-                acc.stream(
-                    touched * (plan.dpu_bytes_factor() - 1),
-                    touched * (plan.xeon_bytes_factor() - 1),
-                );
-                acc.compute(base.rows() as u64, AGG_DPU, AGG_XEON);
-                trace.push(OpRows {
-                    label: format!("{} {}", rel.source.table().name(), agg_label(spec)),
-                    rows: grouped.rows(),
-                });
-                let keep = having.apply(&grouped);
-                select_rows(&grouped, &keep)
+                rows.groups = grouped.rows() as f64;
+                Cow::Owned(select_rows(&grouped, &having.apply(&grouped)))
             }
         };
         let out = if rel.filters.is_empty() {
             staged
         } else {
-            let mut sel = rel.filters[0].apply(&staged);
-            for f in &rel.filters[1..] {
-                sel = sel.and(&f.apply(&staged));
-            }
-            select_rows(&staged, &sel)
+            // Filters run on the staged columns (encoded, for a base
+            // table); a filtered base scan materializes only the columns
+            // it streams.
+            let keep = matching(&staged, &rel.filters);
+            let grouped = matches!(rel.source, Source::GroupHaving { .. });
+            let cols = staged.columns.iter().filter(|c| grouped || rel.touched.contains(&c.name));
+            Cow::Owned(tpch::select_columns(cols, &keep))
         };
-        trace.push(OpRows {
-            label: format!(
-                "scan {}{}",
-                rel.source.table().name(),
-                if rel.filters.is_empty() { "" } else { " filtered" }
-            ),
-            rows: out.rows(),
-        });
+        rows.out = out.rows() as f64;
         out
     }
+
+    /// Prices the local phase from its per-operator cardinalities:
+    /// scans, joins, residual filters, then the finish. Every
+    /// [`CostAcc`] charge and operator label of a plan is issued here,
+    /// for execution and estimation alike; `charged` is the source's
+    /// rule for turning a count into charged rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not have one entry per scan and join step.
+    pub fn price(
+        &self,
+        rows: &PlanRows,
+        charged: fn(f64) -> u64,
+        xeon: &Xeon,
+        scale: u64,
+    ) -> (QueryCost, Vec<OpRows>) {
+        assert_eq!(
+            (rows.scans.len(), rows.joins.len()),
+            (self.scans.len(), self.joins.len()),
+            "cardinality record does not match the plan"
+        );
+        let mut acc = CostAcc::with_scale(scale);
+        let mut trace = Vec::new();
+        let scan = |i: usize, acc: &mut CostAcc, trace: &mut Vec<OpRows>| {
+            let (rel, r) = (&self.scans[i], &rows.scans[i]);
+            let table = rel.source.table().name();
+            acc.stream_both(r.bytes);
+            acc.compute(charged(r.base), SCAN_DPU, SCAN_XEON);
+            if let Source::GroupHaving { spec, .. } = &rel.source {
+                // The big group-by streams extra partition rounds at the
+                // full-scale NDV, like the hand-wired Q18 accounting.
+                let plan = GroupByPlan::plan(((r.groups * acc.scale() as f64) as u64).max(1), 16);
+                acc.stream(
+                    r.bytes * (plan.dpu_bytes_factor() - 1),
+                    r.bytes * (plan.xeon_bytes_factor() - 1),
+                );
+                acc.compute(charged(r.base), AGG_DPU, AGG_XEON);
+                trace
+                    .push(OpRows { label: format!("{table} {}", agg_label(spec)), rows: r.groups });
+            }
+            let filtered = if rel.filters.is_empty() { "" } else { " filtered" };
+            trace.push(OpRows { label: format!("scan {table}{filtered}"), rows: r.out });
+            r.out
+        };
+        let mut cur = scan(self.first, &mut acc, &mut trace);
+        for (j, &out) in self.joins.iter().zip(&rows.joins) {
+            let other = scan(j.scan, &mut acc, &mut trace);
+            let (build, probe) = if j.build_acc { (cur, other) } else { (other, cur) };
+            // The partition-rounds model keys off the build side; the
+            // shipped key bytes follow the probe side's base column
+            // (pre-filter, matching the hand-wired accounting).
+            let probe_base = if j.build_acc { rows.scans[j.scan].base } else { probe };
+            join_cost(&mut acc, charged(build), charged(probe), 4 * charged(probe_base));
+            trace.push(OpRows {
+                label: format!("join {}={} fanout={}", j.build_key, j.probe_key, j.fanout),
+                rows: out,
+            });
+            cur = out;
+        }
+        if !self.post_filters.is_empty() {
+            acc.compute(charged(cur), SCAN_DPU, SCAN_XEON);
+            trace.push(OpRows { label: "filter residual".into(), rows: rows.residual });
+        }
+        match &self.finish {
+            Finish::Agg(spec) | Finish::AggTopK { spec, .. } => {
+                acc.compute(charged(rows.finish_in), AGG_DPU, AGG_XEON);
+                trace.push(OpRows { label: agg_label(spec), rows: rows.groups });
+            }
+            Finish::TopK { .. } => {}
+            Finish::ScalarSums(sums) => {
+                let n = sums.len() as f64;
+                acc.compute(charged(rows.finish_in), 3.0 * n, 1.5 * n);
+                trace.push(OpRows { label: "scalar sums".into(), rows: n });
+            }
+        }
+        if let Finish::AggTopK { value, k, .. } | Finish::TopK { value, k, .. } = &self.finish {
+            trace.push(OpRows { label: format!("topk {value} k={k}"), rows: rows.out });
+        }
+        let mut cost = acc.finish(xeon);
+        cost.xeon.seconds /= XEON_DB_EFFICIENCY;
+        (cost, trace)
+    }
+}
+
+/// The rows of `t` passing every filter.
+fn matching(t: &Table, filters: &[ColFilter]) -> BitVec {
+    filters[1..].iter().fold(filters[0].apply(t), |keep, f| keep.and(&f.apply(t)))
+}
+
+/// The top `k` rows of `t` by `value`, after an optional canonical sort.
+fn top_rows(t: &Table, value: &str, k: usize, sort_by: Option<&str>) -> Table {
+    let sorted;
+    let t = match sort_by {
+        Some(key) => {
+            let mut order: Vec<usize> = (0..t.rows()).collect();
+            order.sort_by_key(|&r| t.columns[t.col_index(key)].data[r]);
+            sorted = project_rows(t, &order);
+            &sorted
+        }
+        None => t,
+    };
+    let top = top_k(t, value, k.min(t.rows().max(1)), 32);
+    project_rows(t, &top)
 }
 
 fn agg_label(spec: &GroupBySpec) -> String {
@@ -1169,17 +1223,17 @@ mod tests {
     fn default_plans_match_hand_wired_queries() {
         let db = db();
         let xeon = Xeon::new();
-        assert_eq!(q1_plan().execute(&db).table(), &tpch::q1(&db, &xeon, 1).0);
-        assert_eq!(q3_plan().execute(&db).table(), &tpch::q3(&db, &xeon, 1).0);
-        assert_eq!(q5_plan().execute(&db).table(), &tpch::q5(&db, &xeon, 1).0);
-        assert_eq!(q10_plan().execute(&db).table(), &tpch::q10(&db, &xeon, 1).0);
-        assert_eq!(q12_plan().execute(&db).table(), &tpch::q12(&db, &xeon, 1).0);
-        assert_eq!(q18_plan().execute(&db).table(), &tpch::q18(&db, &xeon, 1).0);
-        let LogicalOutput::Scalars(q6) = q6_plan().execute(&db) else { panic!() };
-        assert_eq!(q6[0], tpch::q6(&db, &xeon, 1).0);
-        let LogicalOutput::Scalars(q14) = q14_plan().execute(&db) else { panic!() };
+        assert_eq!(q1_plan().execute(&db), tpch::q1(&db, &xeon, 1).0);
+        assert_eq!(q3_plan().execute(&db), tpch::q3(&db, &xeon, 1).0);
+        assert_eq!(q5_plan().execute(&db), tpch::q5(&db, &xeon, 1).0);
+        assert_eq!(q10_plan().execute(&db), tpch::q10(&db, &xeon, 1).0);
+        assert_eq!(q12_plan().execute(&db), tpch::q12(&db, &xeon, 1).0);
+        assert_eq!(q18_plan().execute(&db), tpch::q18(&db, &xeon, 1).0);
+        let q6 = q6_plan().execute(&db);
+        assert_eq!(q6.row(0), [tpch::q6(&db, &xeon, 1).0]);
+        let q14 = q14_plan().execute(&db);
         let ((promo, total), _) = tpch::q14(&db, &xeon, 1);
-        assert_eq!((q14[0], q14[1]), (promo, total));
+        assert_eq!(q14.row(0), [promo, total]);
     }
 
     #[test]
@@ -1215,12 +1269,11 @@ mod tests {
     #[test]
     fn q10_partial_plus_merge_matches_full_plan() {
         let db = db();
-        let partial = q10_partial_plan().execute(&db);
+        let grouped = q10_partial_plan().execute(&db);
         let Finish::AggTopK { spec, value, k } = q10_plan().finish else { panic!() };
-        let grouped = partial.table();
-        let top = top_k(grouped, &value, k.min(grouped.rows().max(1)), 32);
-        let finished = project_rows(grouped, &top);
-        assert_eq!(&finished, q10_plan().execute(&db).table());
+        let top = top_k(&grouped, &value, k.min(grouped.rows().max(1)), 32);
+        let finished = project_rows(&grouped, &top);
+        assert_eq!(finished, q10_plan().execute(&db));
         let _ = spec;
     }
 

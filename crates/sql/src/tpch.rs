@@ -872,9 +872,16 @@ pub fn q18(db: &TpchDb, xeon: &Xeon, scale: u64) -> (Table, QueryCost) {
 
 /// Materializes selected rows into a new table.
 pub fn select_rows(t: &Table, sel: &crate::bitvec::BitVec) -> Table {
+    select_columns(&t.columns, sel)
+}
+
+/// Materializes the rows selected by `sel` of the given columns only.
+pub(crate) fn select_columns<'a>(
+    cols: impl IntoIterator<Item = &'a Column>,
+    sel: &crate::bitvec::BitVec,
+) -> Table {
     Table::new(
-        t.columns
-            .iter()
+        cols.into_iter()
             .map(|c| Column {
                 name: c.name.clone(),
                 width: c.width,

@@ -50,11 +50,7 @@ fn main() {
             r.cost.fabric_seconds * 1e3,
             r.cost.merge_seconds * 1e3,
         );
-        templates.push(Template {
-            name: r.id.name(),
-            cost: r.cost.clone(),
-            xeon_seconds: r.single_cost.xeon.seconds,
-        });
+        templates.push(Template::of(&r));
     }
 
     // Crash node 3 halfway through Q1's local phase: the query fails

@@ -29,11 +29,7 @@ fn templates_for(c: &mut Cluster) -> Vec<Template> {
         .map(|&id| {
             let q = c.try_run_at(id, 0.0).expect("suite must run");
             assert!(q.matches_single(), "{} diverged from single-node", id.name());
-            Template {
-                name: q.id.name(),
-                cost: q.cost.clone(),
-                xeon_seconds: q.single_cost.xeon.seconds,
-            }
+            Template::of(&q)
         })
         .collect()
 }
@@ -282,11 +278,7 @@ fn concurrent_q10_mix_pays_for_fabric_contention() {
     let mut c = cluster(1);
     let q10 = c.try_run_at(QueryId::Q10, 0.0).expect("healthy run");
     assert!(q10.matches_single());
-    let t = Template {
-        name: "Q10",
-        cost: q10.cost.clone(),
-        xeon_seconds: q10.single_cost.xeon.seconds,
-    };
+    let t = Template::of(&q10);
     let rack = XeonRack::rack_42u();
     let cfg = ServeConfig {
         clients: 32,
@@ -457,11 +449,7 @@ fn thread_count_never_changes_bench_relevant_output() {
             .iter()
             .map(|q| {
                 assert!(q.matches_single(), "{} diverged from single-node", q.id.name());
-                Template {
-                    name: q.id.name(),
-                    cost: q.cost.clone(),
-                    xeon_seconds: q.single_cost.xeon.seconds,
-                }
+                Template::of(q)
             })
             .collect();
         let r = serve_pipeline(

@@ -181,8 +181,17 @@ fn fault_scenarios_reach_the_paths_they_name() {
         let l = line(&format!("q10-owner-crash-k2 {path} Q10:"));
         assert!(failovers(l) > 0, "{l}");
     }
-    for id in [QueryId::Q1, QueryId::Q3, QueryId::Q6] {
-        let l = line(&format!("coordinator-crash-k2 HandWired {}:", id.name()));
+    // Q10's coordinator dies during the owner-output gather, so it pays
+    // a coordinator failover on both paths like the single gathers.
+    let coordinator_crashes = [
+        ("HandWired", QueryId::Q1),
+        ("HandWired", QueryId::Q3),
+        ("HandWired", QueryId::Q6),
+        ("HandWired", QueryId::Q10),
+        ("Planned", QueryId::Q10),
+    ];
+    for (path, id) in coordinator_crashes {
+        let l = line(&format!("coordinator-crash-k2 {path} {}:", id.name()));
         assert!(failovers(l) > 0, "{l}");
     }
     let l = line("straggler-speculation-k2 HandWired Q1:");

@@ -187,11 +187,7 @@ proptest! {
                 .iter()
                 .map(|&id| {
                     let q = c.try_run_at(id, 0.0).expect("healthy run");
-                    Template {
-                        name: q.id.name(),
-                        cost: q.cost.clone(),
-                        xeon_seconds: q.single_cost.xeon.seconds,
-                    }
+                    Template::of(&q)
                 })
                 .collect()
         }

@@ -35,14 +35,7 @@ fn exactness_at(orders_n: usize, seed: u64) {
     }
     // Serving sanity on the same templates the bench binary derives:
     // the closed-loop simulation must make progress at this scale.
-    let templates: Vec<_> = runs
-        .iter()
-        .map(|q| dpu_repro::cluster::Template {
-            name: q.id.name(),
-            cost: q.cost.clone(),
-            xeon_seconds: q.single_cost.xeon.seconds,
-        })
-        .collect();
+    let templates: Vec<_> = runs.iter().map(dpu_repro::cluster::Template::of).collect();
     let report = serve_pipeline(
         &templates,
         c.watts(),
